@@ -6,7 +6,7 @@ use crate::scheme::{ErrorScheme, RowOutcome};
 use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
-use guardrail_synth::{synthesize_partitioned_governed, SynthesisConfig, SynthesisOutcome};
+use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
 use guardrail_table::{Row, Table, TableSource, Value};
 
 /// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
@@ -104,7 +104,6 @@ pub struct GuardrailBuilder {
     config: GuardrailConfig,
     budget: Option<Budget>,
     parallelism: Option<Parallelism>,
-    shards: Option<usize>,
 }
 
 impl GuardrailBuilder {
@@ -131,29 +130,15 @@ impl GuardrailBuilder {
         self
     }
 
-    /// Sets the shard count for the fit's counting passes (the oracle's CI
-    /// tests and the sketch-fill grouping scans): each pass counts per row
-    /// shard and merges the partials. Results are bit-identical for any
-    /// shard count; `0`/`1` means whole-relation passes. For persistent
-    /// stores the fill shards align with segment/batch boundaries (via
-    /// [`TableSource::partition`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Runs the offline synthesis pipeline on `source` — any
     /// [`TableSource`]: an in-memory [`Table`], an mmap segment, or a
     /// persistent store.
     pub fn fit<S: TableSource + ?Sized>(self, source: &S) -> Result<Guardrail, GuardrailError> {
         let table = source.as_table();
-        let mut config = match self.parallelism {
+        let config = match self.parallelism {
             Some(p) => self.config.with_parallelism(p),
             None => self.config,
         };
-        if let Some(shards) = self.shards {
-            config = config.with_shards(shards);
-        }
         let budget = self.budget.unwrap_or_else(Budget::unlimited);
         let attrs = table.num_columns();
         if attrs > guardrail_graph::MAX_NODES {
@@ -162,11 +147,8 @@ impl GuardrailBuilder {
                 max: guardrail_graph::MAX_NODES,
             });
         }
-        // The source's own partition: stores snap shard cuts to
-        // segment/batch boundaries, plain tables split evenly.
-        let partition = source.partition(config.shards);
         Ok(Guardrail {
-            outcome: synthesize_partitioned_governed(table, &config, &budget, &partition),
+            outcome: synthesize_governed(table, &config, &budget),
             parallelism: config.parallelism,
         })
     }
@@ -197,19 +179,6 @@ impl Guardrail {
         config: &GuardrailConfig,
     ) -> Result<Self, GuardrailError> {
         Self::builder().config(*config).fit(source)
-    }
-
-    /// Budgeted synthesis: the whole pipeline (structure learning, MEC
-    /// enumeration, sketch fills) charges `budget` and degrades to the best
-    /// program found so far on exhaustion — inspect
-    /// [`degradation`](Guardrail::degradation) for what was cut short.
-    #[deprecated(since = "0.2.0", note = "use Guardrail::builder().budget(…).fit(&table)")]
-    pub fn try_fit_governed(
-        table: &Table,
-        config: &GuardrailConfig,
-        budget: &Budget,
-    ) -> Result<Self, GuardrailError> {
-        Self::builder().config(*config).budget(budget.clone()).fit(table)
     }
 
     /// Wraps a hand-written or previously synthesized program.
@@ -274,15 +243,6 @@ impl Guardrail {
         DetectionReport { violations, rows_checked: table.num_rows() }
     }
 
-    /// Pre-`TableSource` entry point, kept as a thin shim for callers that
-    /// need the monomorphic `&Table` signature (e.g. to take a function
-    /// pointer). New code should call [`detect`](Guardrail::detect), which
-    /// accepts any [`TableSource`].
-    #[deprecated(since = "0.3.0", note = "use detect(&source); any TableSource works")]
-    pub fn detect_table(&self, table: &Table) -> DetectionReport {
-        self.detect(table)
-    }
-
     /// Starts incremental detection over an append-only `source`: compiles
     /// the fitted program, scans the rows present now, and returns a
     /// detector whose `detect_appended` probes only rows appended later
@@ -322,14 +282,6 @@ impl Guardrail {
             ErrorScheme::Rectify => compiled.rectify_table_parallel(&mut out, self.parallelism),
         };
         (out, ApplyReport { violations, cells_changed })
-    }
-
-    /// Pre-`TableSource` entry point, kept as a thin shim; see
-    /// [`detect_table`](Guardrail::detect_table). New code should call
-    /// [`apply`](Guardrail::apply), which accepts any [`TableSource`].
-    #[deprecated(since = "0.3.0", note = "use apply(&source, scheme); any TableSource works")]
-    pub fn apply_table(&self, table: &Table, scheme: ErrorScheme) -> (Table, ApplyReport) {
-        self.apply(table, scheme)
     }
 
     /// Vets one incoming row under `scheme` — the query-time guardrail hook
@@ -711,16 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_governed_fit_still_works() {
-        let table = clean_table(200);
-        #[allow(deprecated)]
-        let g =
-            Guardrail::try_fit_governed(&table, &GuardrailConfig::default(), &Budget::unlimited())
-                .unwrap();
-        assert!(g.degradation().is_complete());
-    }
-
-    #[test]
     fn builder_fit_matches_plain_fit_at_any_thread_count() {
         let table = clean_table(600);
         let baseline =
@@ -733,32 +675,6 @@ mod tests {
             assert_eq!(g.program(), baseline.program(), "{threads} threads");
             assert_eq!(g.coverage(), baseline.coverage(), "{threads} threads");
         }
-    }
-
-    /// `.shards(n)` changes how the fit counts, never what it learns —
-    /// including over a persistent store, whose shard cuts snap to its
-    /// batch boundaries.
-    #[test]
-    fn sharded_fit_matches_unsharded() {
-        use guardrail_table::TableStore;
-        let table = clean_table(500);
-        let baseline = fitted(500);
-        for shards in [2usize, 4] {
-            let g = Guardrail::builder().shards(shards).fit(&table).unwrap();
-            assert_eq!(g.program(), baseline.program(), "{shards} shards");
-            assert_eq!(g.coverage(), baseline.coverage(), "{shards} shards");
-        }
-        let dir = std::env::temp_dir()
-            .join(format!("guardrail-core-shards-{}", std::process::id()))
-            .join("store");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = TableStore::create(&dir, &clean_table(300)).unwrap();
-        store.append_table(&clean_table(200)).unwrap();
-        let plain = Guardrail::builder().fit(&store).unwrap();
-        let g = Guardrail::builder().shards(4).fit(&store).unwrap();
-        assert_eq!(g.program(), plain.program(), "store fit with aligned shards");
-        assert_eq!(g.coverage(), plain.coverage());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -789,21 +705,6 @@ mod tests {
         assert_eq!(out.num_rows(), 400);
         assert_eq!(rep.cells_changed, 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn deprecated_table_shims_match_source_entry_points() {
-        let g = fitted(300);
-        let dirty =
-            Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n97201,Portland,w1\n").unwrap();
-        #[allow(deprecated)]
-        {
-            assert_eq!(g.detect_table(&dirty).violations, g.detect(&dirty).violations);
-            let (shim, shim_rep) = g.apply_table(&dirty, ErrorScheme::Rectify);
-            let (new, new_rep) = g.apply(&dirty, ErrorScheme::Rectify);
-            assert_eq!(shim.to_csv_string(), new.to_csv_string());
-            assert_eq!(shim_rep.cells_changed, new_rep.cells_changed);
-        }
     }
 
     #[test]

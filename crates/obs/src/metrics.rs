@@ -21,7 +21,7 @@
 //! estimates are within one bucket boundary of the exact sample
 //! quantile. Buckets are relaxed `AtomicU64`s: recording is lock-free,
 //! and two histograms merge by element-wise addition (associative and
-//! commutative, so shard-local histograms can be reduced in any order).
+//! commutative, so per-worker histograms can be reduced in any order).
 //!
 //! # Exposition
 //!
@@ -141,7 +141,7 @@ impl Histogram {
 
     /// Folds `other`'s observations into `self` by element-wise bucket
     /// addition. Associative and commutative up to concurrent interleaving,
-    /// so shard-local histograms reduce in any order.
+    /// so per-worker histograms reduce in any order.
     pub fn merge_from(&self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
             let n = theirs.load(Ordering::Relaxed);

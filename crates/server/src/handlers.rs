@@ -17,6 +17,7 @@ use guardrail_core::{ErrorScheme, Guardrail, GuardrailConfig};
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
 use guardrail_obs as obs;
 use guardrail_table::{Table, TableSource};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,8 +35,8 @@ pub enum Outcome {
 }
 
 /// Obs counter names, one per [`Outcome`]. These go through
-/// [`obs::count_always`], so the `status` verb and an armed `--trace-out`
-/// recorder read the *same* cells.
+/// [`obs::count_always`], so an armed `--trace-out` recorder carries every
+/// count the `status` verb reports.
 pub const COUNTER_NAMES: [(&str, Outcome); 4] = [
     ("server.requests.ok", Outcome::Ok),
     ("server.requests.degraded", Outcome::Degraded),
@@ -43,39 +44,32 @@ pub const COUNTER_NAMES: [(&str, Outcome); 4] = [
     ("server.requests.error", Outcome::Error),
 ];
 
-/// Per-server view over the process-global obs counters: values are
-/// reported relative to a baseline taken at server start, so several
-/// servers in one process (tests) each see their own traffic.
-#[derive(Debug, Clone)]
+/// Per-server request outcome tallies. Each bump also feeds the
+/// process-global obs counter of the same name (traces read those), but
+/// the totals come from the server's own tallies, so several servers in
+/// one process (tests) each see exactly their own traffic, even when they
+/// serve at the same time.
+#[derive(Debug, Default)]
 pub struct Counters {
-    base: [u64; 4],
+    own: [AtomicU64; 4],
 }
 
 impl Counters {
-    /// Snapshot the baseline at server start.
+    /// Zeroed tallies.
     pub fn new() -> Self {
-        Self { base: COUNTER_NAMES.map(|(name, _)| obs::counter_value(name)) }
+        Self::default()
     }
 
     /// Counts one request outcome (always-on; traced when armed).
     pub fn bump(&self, outcome: Outcome) {
         let (name, _) = COUNTER_NAMES[outcome as usize];
         obs::count_always(name, 1);
+        self.own[outcome as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(ok, degraded, shed, error)` totals since server start.
     pub fn totals(&self) -> [u64; 4] {
-        let mut out = [0; 4];
-        for (i, (name, _)) in COUNTER_NAMES.iter().enumerate() {
-            out[i] = obs::counter_value(name).saturating_sub(self.base[i]);
-        }
-        out
-    }
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Self::new()
+        std::array::from_fn(|i| self.own[i].load(Ordering::Relaxed))
     }
 }
 
@@ -424,7 +418,9 @@ fn append(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
 /// Probes only the rows appended since the previous `detect_batch` against
 /// the published engine (determinant-index incremental scan), returning
 /// the new violations and honest probed-row work units. The first call per
-/// (store, engine version) pays one full scan to seed the detector.
+/// (store, engine version) pays one full scan to seed the detector and
+/// answers it as such: `recompiled: true`, every row counted in
+/// `rows_scanned`, and every violation in the store returned.
 fn detect_batch(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let stores = store_registry(ctx, req)?;
     let engine = engine_for(ctx, req)?;

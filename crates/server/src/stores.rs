@@ -53,8 +53,11 @@ impl StoreSlot {
     /// Runs one incremental pass over rows appended since the previous
     /// pass, rebuilding the cached detector (one full scan + index build)
     /// when it is cold or was built against a different engine version.
-    /// The appended batch is also folded into the slot's [`DriftMonitor`];
-    /// any [`StalenessAlert`]s it trips ride back with the scan.
+    /// A rebuild is reported as the full pass it is — every row scanned,
+    /// `recompiled` set — so callers return the cumulative violations,
+    /// including those of rows appended before the rebuild. The appended
+    /// batch is also folded into the slot's [`DriftMonitor`]; any
+    /// [`StalenessAlert`]s it trips ride back with the scan.
     ///
     /// `None` when the guard's program is empty or does not bind to the
     /// store's schema (the regimes where bulk detect reports clean);
@@ -66,7 +69,8 @@ impl StoreSlot {
         engine_version: u64,
         budget: &Budget,
     ) -> Option<AppendOutcome> {
-        if self.detector.is_none() || self.detector_version != engine_version {
+        let cold = self.detector.is_none() || self.detector_version != engine_version;
+        if cold {
             self.detector = guard.incremental(&self.store);
             self.detector_version = engine_version;
             self.drift = self
@@ -77,7 +81,13 @@ impl StoreSlot {
         let det = self.detector.as_mut()?;
         let seen_before = det.rows_seen();
         let result = det.detect_appended(&self.store, budget);
-        Some(result.map(|scan| {
+        Some(result.map(|mut scan| {
+            if cold {
+                scan.rows_scanned = det.rows_seen();
+                scan.new_violations = det.violations().len();
+                scan.rows_probed += seen_before as u64 * det.compiled().statement_count() as u64;
+                scan.recompiled = true;
+            }
             let mut alerts = Vec::new();
             if let Some(drift) = self.drift.as_mut() {
                 let appended = seen_before..det.rows_seen();
@@ -289,15 +299,16 @@ mod tests {
                 .unwrap(),
         );
         let budget = Budget::unlimited();
-        // First pass seeds the detector (full scan: nothing appended yet).
+        // First pass seeds the detector: a full scan, reported as one.
         let (seen, scan, _) = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
-        assert_eq!((seen, scan.rows_scanned), (2, 0));
+        assert_eq!((seen, scan.rows_scanned, scan.recompiled), (2, 2, true));
         assert!(slot.drift().is_some(), "detector seeds the drift monitor");
         // An appended dirty row is probed alone on the next pass.
         let dirty = Table::from_csv_str("zip,city\nwest,Oops\n").unwrap();
         slot.store.append_table(&dirty).unwrap();
         let (seen, scan, _) = slot.detect_appended(&g1, 1, &budget).unwrap().unwrap();
         assert_eq!((seen, scan.rows_scanned, scan.new_violations), (2, 1, 1));
+        assert!(!scan.recompiled);
         assert_eq!(slot.detector().unwrap().violations().len(), 1);
         // A hot-swapped engine version rebuilds the detector from scratch.
         let g2 = Guardrail::from_program(
@@ -305,7 +316,7 @@ mod tests {
                 .unwrap(),
         );
         let (seen, scan, _) = slot.detect_appended(&g2, 2, &budget).unwrap().unwrap();
-        assert_eq!((seen, scan.rows_scanned), (3, 0), "rebuild already saw all rows");
+        assert_eq!((seen, scan.rows_scanned, scan.recompiled), (3, 3, true), "rebuild scans all");
         assert_eq!(slot.detector().unwrap().violations().len(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -94,9 +94,8 @@ fn fit_detect_rectify_vet_round_trip() {
     let engines = status.get("engines").and_then(Json::as_arr).unwrap();
     assert_eq!(engines.len(), 1);
     assert_eq!(engines[0].get("version").and_then(Json::as_u64), Some(1));
-    // One source of truth: the status counters are the obs counters.
-    // (4 ok so far: fit, detect, rectify, vet — status snapshots before
-    // counting itself.)
+    // 4 ok so far: fit, detect, rectify, vet — status snapshots before
+    // counting itself.
     let counters = status.get("counters").unwrap();
     assert_eq!(counters.get("ok").and_then(Json::as_u64), Some(4));
     assert_eq!(counters.get("shed").and_then(Json::as_u64), Some(0));
@@ -475,11 +474,12 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     assert_eq!(created.get("created"), Some(&Json::Bool(true)));
     assert_eq!(created.get("rows_total").and_then(Json::as_u64), Some(30));
 
-    // Seeding pass: the detector's one-time full scan is not billed as an
-    // incremental scan, and a clean base yields no new violations.
+    // Seeding pass: the detector's one-time full scan is reported as one,
+    // and a clean base yields no violations.
     let seed = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&seed), "{seed:?}");
-    assert_eq!(seed.get("rows_scanned").and_then(Json::as_u64), Some(0));
+    assert_eq!(seed.get("rows_scanned").and_then(Json::as_u64), Some(30));
+    assert_eq!(seed.get("recompiled"), Some(&Json::Bool(true)));
     assert_eq!(seed.get("violations").and_then(Json::as_arr).unwrap().len(), 0);
 
     // A dirty appended batch is probed alone: 2 rows scanned, 1 violation.
@@ -490,6 +490,7 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     let scan = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
     assert!(is_ok(&scan), "{scan:?}");
     assert_eq!(scan.get("rows_scanned").and_then(Json::as_u64), Some(2));
+    assert_eq!(scan.get("recompiled"), Some(&Json::Bool(false)));
     assert!(scan.get("rows_probed").and_then(Json::as_u64).unwrap() >= 2);
     let violations = scan.get("violations").and_then(Json::as_arr).unwrap();
     assert_eq!(violations.len(), 1, "{scan:?}");
@@ -523,6 +524,59 @@ fn append_and_detect_batch_round_trip_and_survive_restart() {
     let violations = scan.get("violations").and_then(Json::as_arr).unwrap();
     assert_eq!(violations.len(), 1, "{scan:?}");
     assert_eq!(violations[0].get("row").and_then(Json::as_u64), Some(32));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
+/// The first `detect_batch` after a `fit` or a restart builds the detector
+/// over rows that were appended before it existed. That build is the pass
+/// which sees the appended batch, so its violations must be in the answer
+/// and its rows counted as scanned.
+#[test]
+fn cold_detector_reports_violations_appended_before_it_was_built() {
+    let store_root =
+        std::env::temp_dir().join(format!("guardrail-srv-cold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let spawn = || {
+        Server::spawn(ServerConfig { store_root: Some(store_root.clone()), ..Default::default() })
+            .expect("bind")
+    };
+    let append = |client: &mut Client, csv: &str| {
+        let req = format!(r#"{{"op":"append","table":"zips","csv":{}}}"#, quote(csv));
+        let resp = client.request(&req).unwrap();
+        assert!(is_ok(&resp), "{resp:?}");
+    };
+    // Fits, appends one dirty batch, then asks for the detect: the only
+    // violation is the batch's `dirty_row`.
+    let fit_append_detect = |client: &mut Client, batch: &str, dirty_row: u64| {
+        let fit = client.request(&fit_req(&zip_city_csv(100))).unwrap();
+        assert!(is_ok(&fit), "{fit:?}");
+        append(client, batch);
+        let scan = client.request(r#"{"op":"detect_batch","table":"zips"}"#).unwrap();
+        assert!(is_ok(&scan), "{scan:?}");
+        let batch_rows = batch.lines().count() as u64 - 1;
+        assert!(scan.get("rows_scanned").and_then(Json::as_u64).unwrap() >= batch_rows, "{scan:?}");
+        assert_eq!(scan.get("recompiled"), Some(&Json::Bool(true)), "{scan:?}");
+        let rows: Vec<u64> = scan
+            .get("violations")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(|v| v.get("row").and_then(Json::as_u64))
+            .collect();
+        assert!(rows.contains(&dirty_row), "{scan:?}");
+    };
+
+    let handle = spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    append(&mut client, &zip_city_csv(10)); // creates the store: rows 0..30
+    fit_append_detect(&mut client, "zip,city\n94704,Berkeley\n94704,Portland\n", 31);
+    handle.shutdown();
+
+    // A restart over the same store root: the detector is cold again.
+    let handle = spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    fit_append_detect(&mut client, "zip,city\n97201,Berkeley\n", 32);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&store_root);
 }
