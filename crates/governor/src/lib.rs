@@ -328,10 +328,11 @@ pub enum StageStatus {
 
 impl StageStatus {
     /// Builds a `Degraded` status for `stage` from a budget error. Every
-    /// degradation bumps the `governor.degradations` trace counter, so an
-    /// armed recorder sees budget cuts inline with the stage spans.
+    /// degradation bumps the `guardrail_governor_degradations_total`
+    /// counter, so a metrics scrape counts budget cuts and an armed
+    /// recorder sees them inline with the stage spans.
     pub fn degraded(stage: &'static str, err: Exhausted) -> Self {
-        guardrail_obs::count("governor.degradations", 1);
+        guardrail_obs::count("guardrail_governor_degradations_total", 1);
         StageStatus::Degraded(Degradation { stage, reason: err.reason, work_done: err.work_done })
     }
 

@@ -39,7 +39,8 @@
 //!
 //! With the [`NoopRecorder`] installed (or nothing installed), every public
 //! entry point below checks a single `AtomicBool` with `Ordering::Relaxed`
-//! and returns. [`span`] hands back a disarmed guard whose `Vec` of
+//! and returns — except [`count`], which feeds the metrics registry and so
+//! also checks the metrics gate before it returns. [`span`] hands back a disarmed guard whose `Vec` of
 //! arguments is never allocated (`Vec::new` is allocation-free) and whose
 //! `Drop` is a branch on a dead flag. No timestamps are taken, no
 //! thread-locals touched, no locks acquired.
@@ -57,7 +58,7 @@ pub mod report;
 pub use chrome::chrome_trace;
 pub use event::{parse_jsonl_line, Event, ParsedEvent};
 pub use metrics::{arm_metrics, metrics_on, Histogram};
-pub use recorder::{FanoutRecorder, JsonlRecorder, NoopRecorder, Recorder, RingRecorder};
+pub use recorder::{JsonlRecorder, NoopRecorder, Recorder, RingRecorder};
 pub use report::{PipelineReport, StageReport};
 
 use std::cell::RefCell;
@@ -209,12 +210,15 @@ impl Drop for Span {
     }
 }
 
-/// Adds `delta` to the named process-global counter and emits an
-/// [`Event::Counter`] sample carrying the new total. When recording is off
-/// this is a single atomic load and return — the registry is not consulted.
+/// Adds `delta` to the unlabelled counter series `name` in the metrics
+/// registry — the same cell a `metrics` scrape renders — and, while a
+/// recorder is armed, emits an [`Event::Counter`] sample carrying that
+/// cell's new total. With neither recording nor metrics on this is two
+/// relaxed loads and a return: the registry is not consulted and nothing
+/// allocates.
 #[inline]
 pub fn count(name: &'static str, delta: u64) {
-    if !recording() {
+    if !(recording() || metrics_on()) {
         return;
     }
     count_slow(name, delta);
@@ -222,95 +226,44 @@ pub fn count(name: &'static str, delta: u64) {
 
 #[cold]
 fn count_slow(name: &'static str, delta: u64) {
-    let total = counter_cell(name).fetch_add(delta, Ordering::Relaxed) + delta;
-    let tid = TID.with(|t| *t);
-    dispatch(Event::Counter { name, tid, value: total, t_ns: now_ns() });
-}
-
-/// Adds `delta` to the named counter **whether or not a recorder is
-/// armed**, returning the new total. When recording is on, an
-/// [`Event::Counter`] sample is emitted too, so the same counter feeds
-/// both a live metrics endpoint (via [`counter_value`] /
-/// [`counters_snapshot`]) and an exported trace — one source of truth.
-///
-/// Unlike [`count`], this is *not* zero-overhead when off (it always pays
-/// the registry update); use it only at request-rate boundaries (a serving
-/// daemon's per-request outcome counters), never inside per-row hot loops.
-pub fn count_always(name: &'static str, delta: u64) -> u64 {
-    let total = counter_cell(name).fetch_add(delta, Ordering::Relaxed) + delta;
+    let total = metrics::counter(name, "").fetch_add(delta, Ordering::Relaxed) + delta;
     if recording() {
         let tid = TID.with(|t| *t);
         dispatch(Event::Counter { name, tid, value: total, t_ns: now_ns() });
     }
-    total
 }
 
-/// Current value of a named counter (0 if it was never touched).
-pub fn counter_value(name: &str) -> u64 {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    counters.iter().find(|(n, _)| *n == name).map(|(_, c)| c.load(Ordering::Relaxed)).unwrap_or(0)
-}
-
-/// Snapshot of every registered counter, in registration order.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    counters.iter().map(|(n, c)| (*n, c.load(Ordering::Relaxed))).collect()
-}
-
-/// Zeroes every registered counter (test isolation between recorded runs).
-pub fn reset_counters() {
-    let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-    for (_, c) in counters.iter() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-type CounterRegistry = RwLock<Vec<(&'static str, Arc<AtomicU64>)>>;
-
-fn counter_registry() -> &'static CounterRegistry {
-    static COUNTERS: OnceLock<CounterRegistry> = OnceLock::new();
-    COUNTERS.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-fn counter_cell(name: &'static str) -> Arc<AtomicU64> {
-    {
-        let counters = counter_registry().read().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
-            return c.clone();
-        }
-    }
-    let mut counters = counter_registry().write().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
-        return c.clone();
-    }
-    let cell = Arc::new(AtomicU64::new(0));
-    counters.push((name, cell.clone()));
-    cell
+/// Serializes the tests that touch process-global state (the recorder
+/// gate, the metrics gate, the metrics registry).
+#[cfg(test)]
+fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The global recorder is process state; tests that arm it serialize.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn disarmed_spans_are_inert() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = test_serial();
         uninstall();
+        metrics::arm_metrics(false);
+        metrics::reset_metrics();
         assert!(!recording());
         let mut s = span("never_recorded");
         assert!(!s.is_armed());
         s.arg("ignored", 1);
         drop(s);
         count("ignored_counter", 5);
-        assert_eq!(counter_value("ignored_counter"), 0);
+        assert_eq!(metrics::series_count(), 0, "a disarmed count must not register a series");
     }
 
     #[test]
     fn ring_recorder_captures_nested_spans_and_counters() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = test_serial();
+        metrics::reset_metrics();
         let ring = Arc::new(RingRecorder::with_capacity(64));
         install(ring.clone());
         {
@@ -322,7 +275,7 @@ mod tests {
             }
         }
         uninstall();
-        reset_counters();
+        metrics::reset_metrics();
         let events = ring.take();
         assert_eq!(events.len(), 5, "{events:?}");
         let (outer_id, inner_parent) = match (&events[0], &events[1]) {
@@ -345,29 +298,41 @@ mod tests {
     }
 
     #[test]
-    fn count_always_accumulates_without_a_recorder() {
-        let _guard = SERIAL.lock().unwrap();
+    fn count_feeds_the_registry_and_the_trace() {
+        let _guard = test_serial();
         uninstall();
-        reset_counters();
-        assert_eq!(count_always("served.requests", 2), 2);
-        assert_eq!(count_always("served.requests", 3), 5);
-        assert_eq!(counter_value("served.requests"), 5);
-        // Arming a recorder makes the same counter emit events on top.
+        metrics::reset_metrics();
+        // Metrics armed, no recorder: the scrape sees the count.
+        metrics::arm_metrics(true);
+        count("test_served_requests_total", 2);
+        count("test_served_requests_total", 3);
+        assert!(
+            metrics::render_prometheus().contains("test_served_requests_total 5"),
+            "{}",
+            metrics::render_prometheus()
+        );
+        // Arming a recorder makes the same cell emit events on top.
         let ring = Arc::new(RingRecorder::with_capacity(16));
         install(ring.clone());
-        assert_eq!(count_always("served.requests", 1), 6);
+        count("test_served_requests_total", 1);
         uninstall();
-        reset_counters();
+        metrics::arm_metrics(false);
+        let cell = metrics::counter("test_served_requests_total", "");
+        assert_eq!(cell.load(Ordering::Relaxed), 6);
+        metrics::reset_metrics();
         let events = ring.take();
         assert!(
-            matches!(events.as_slice(), [Event::Counter { name: "served.requests", value: 6, .. }]),
+            matches!(
+                events.as_slice(),
+                [Event::Counter { name: "test_served_requests_total", value: 6, .. }]
+            ),
             "{events:?}"
         );
     }
 
     #[test]
     fn noop_install_keeps_gate_closed() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = test_serial();
         install(Arc::new(NoopRecorder));
         assert!(!recording(), "installing Noop must leave the fast path disarmed");
         uninstall();
@@ -375,15 +340,15 @@ mod tests {
 
     #[test]
     fn counters_accumulate_while_recording() {
-        let _guard = SERIAL.lock().unwrap();
+        let _guard = test_serial();
+        metrics::reset_metrics();
         let ring = Arc::new(RingRecorder::with_capacity(16));
         install(ring.clone());
         count("accum", 2);
         count("accum", 3);
-        assert_eq!(counter_value("accum"), 5);
+        assert_eq!(metrics::counter("accum", "").load(Ordering::Relaxed), 5);
         uninstall();
-        reset_counters();
-        assert_eq!(counter_value("accum"), 0);
+        metrics::reset_metrics();
         let values: Vec<u64> = ring
             .take()
             .into_iter()

@@ -19,9 +19,8 @@
 //! most significant bit select the sub-bucket). That is 16 + 4×60 = 256
 //! buckets covering all of `u64` with ≤ 25% relative width, so quantile
 //! estimates are within one bucket boundary of the exact sample
-//! quantile. Buckets are relaxed `AtomicU64`s: recording is lock-free,
-//! and two histograms merge by element-wise addition (associative and
-//! commutative, so per-worker histograms can be reduced in any order).
+//! quantile. Buckets are relaxed `AtomicU64`s, so recording is
+//! lock-free.
 //!
 //! # Exposition
 //!
@@ -87,8 +86,7 @@ pub fn bucket_upper(index: usize) -> u64 {
 }
 
 /// A lock-free log-bucketed histogram: 256 relaxed atomic buckets plus
-/// running count, sum, and max. Recording is wait-free; merging is
-/// element-wise atomic addition.
+/// running count, sum, and max. Recording is wait-free.
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
@@ -139,23 +137,8 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Folds `other`'s observations into `self` by element-wise bucket
-    /// addition. Associative and commutative up to concurrent interleaving,
-    /// so per-worker histograms reduce in any order.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.max.fetch_max(other.max(), Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the bucket counts (for merging tests and
-    /// external exposition).
+    /// A point-in-time copy of the bucket counts (for tests and external
+    /// exposition).
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
@@ -472,15 +455,7 @@ pub fn snapshot_jsonl() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Tests that touch the process-global registry serialize through
-    /// this lock so `reset_metrics` cannot race a sibling test.
-    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
-
-    fn registry_guard() -> std::sync::MutexGuard<'static, ()> {
-        REGISTRY_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::test_serial;
 
     #[test]
     fn bucket_index_is_monotone_and_upper_bounds_are_consistent() {
@@ -519,29 +494,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_everything() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..50u64 {
-            a.record(v);
-        }
-        for v in 50..100u64 {
-            b.record(v * 17);
-        }
-        let merged = Histogram::new();
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-        assert_eq!(merged.count(), a.count() + b.count());
-        assert_eq!(merged.sum(), a.sum() + b.sum());
-        assert_eq!(merged.max(), a.max().max(b.max()));
-        let want: Vec<u64> =
-            a.bucket_counts().iter().zip(b.bucket_counts().iter()).map(|(x, y)| x + y).collect();
-        assert_eq!(merged.bucket_counts(), want);
-    }
-
-    #[test]
     fn disarmed_helpers_register_nothing() {
-        let _guard = registry_guard();
+        let _guard = test_serial();
         reset_metrics();
         arm_metrics(false);
         observe("test_disarmed_hist", "", 7);
@@ -552,7 +506,7 @@ mod tests {
 
     #[test]
     fn registry_round_trips_through_both_renderers() {
-        let _guard = registry_guard();
+        let _guard = test_serial();
         reset_metrics();
         arm_metrics(true);
         observe("test_render_latency_us", "tenant=\"a\",verb=\"fit\"", 120);
@@ -584,7 +538,7 @@ mod tests {
 
     #[test]
     fn kind_mismatch_returns_detached_cells_not_panics() {
-        let _guard = registry_guard();
+        let _guard = test_serial();
         reset_metrics();
         let h = histogram("test_mismatch", "");
         h.record(5);

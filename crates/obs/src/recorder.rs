@@ -134,38 +134,6 @@ impl Drop for JsonlRecorder {
     }
 }
 
-/// Duplicates every event to several recorders (e.g. a ring for the
-/// Chrome-trace export plus a JSONL stream for archival).
-#[derive(Default)]
-pub struct FanoutRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl std::fmt::Debug for FanoutRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutRecorder").field("sinks", &self.sinks.len()).finish()
-    }
-}
-
-impl FanoutRecorder {
-    /// A fanout over `sinks` (order preserved per event).
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl Recorder for FanoutRecorder {
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
-
-    fn record(&self, event: Event) {
-        for sink in &self.sinks {
-            sink.record(event.clone());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,18 +189,5 @@ mod tests {
         for line in lines {
             crate::event::parse_jsonl_line(line).unwrap();
         }
-    }
-
-    #[test]
-    fn fanout_duplicates_and_inherits_enablement() {
-        let a = std::sync::Arc::new(RingRecorder::with_capacity(8));
-        let b = std::sync::Arc::new(RingRecorder::with_capacity(8));
-        let fan = FanoutRecorder::new(vec![a.clone(), b.clone()]);
-        assert!(fan.enabled());
-        fan.record(counter(1));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        let noop_only = FanoutRecorder::new(vec![std::sync::Arc::new(NoopRecorder)]);
-        assert!(!noop_only.enabled());
     }
 }

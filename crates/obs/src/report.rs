@@ -74,23 +74,6 @@ impl PipelineReport {
     pub fn is_complete(&self) -> bool {
         self.degradations.is_empty()
     }
-
-    /// Looks up a stage anywhere in the tree by name (first match,
-    /// depth-first).
-    pub fn find(&self, name: &str) -> Option<&StageReport> {
-        fn walk<'a>(stages: &'a [StageReport], name: &str) -> Option<&'a StageReport> {
-            for s in stages {
-                if s.name == name {
-                    return Some(s);
-                }
-                if let Some(hit) = walk(&s.children, name) {
-                    return Some(hit);
-                }
-            }
-            None
-        }
-        walk(&self.stages, name)
-    }
 }
 
 /// Renders nanoseconds as a right-aligned human duration.
@@ -185,13 +168,5 @@ mod tests {
         assert!(!report.is_complete());
         let text = report.to_string();
         assert!(text.contains("degradations:\n    pc_skeleton: deadline expired"), "{text}");
-    }
-
-    #[test]
-    fn find_walks_the_tree() {
-        let report = sample();
-        assert_eq!(report.find("mec_enumeration").unwrap().wall_ns, 900);
-        assert_eq!(report.find("detect").unwrap().wall_ns, 2_500);
-        assert!(report.find("missing").is_none());
     }
 }

@@ -1,0 +1,278 @@
+//! The `guardrail-server` command line: the daemon and its one-shot
+//! clients. The `guardrail-server` binary and `guardrail serve` both run
+//! the daemon through [`cmd_daemon`], so they take the same flags.
+//!
+//! ```text
+//! guardrail-server --listen <addr> [--tenant-inflight N] [--global-inflight N]
+//!                  [--default-deadline-ms MS] [--max-deadline-ms MS]
+//!                  [--max-frame-bytes N] [--read-timeout-ms MS]
+//!                  [--idle-timeout-ms MS] [--retry-after-ms MS]
+//!                  [--store-root DIR] [--debug-ops] [--trace-out trace.json]
+//!                  [--metrics-out metrics.jsonl] [--metrics-interval-ms MS]
+//! guardrail-server send <addr> <request-json>...
+//! guardrail-server metrics <addr>
+//! ```
+//!
+//! The daemon prints `listening on <addr>` to stderr once bound (scripts
+//! wait for that line), serves until a `shutdown` request arrives, drains,
+//! and — when `--trace-out` was given — writes a Chrome-trace JSON of the
+//! run's `serve_*` spans. The metrics layer is armed for the daemon's
+//! lifetime; `--metrics-out` additionally appends a JSONL registry snapshot
+//! every `--metrics-interval-ms` (default 1000) plus one final snapshot at
+//! drain.
+//!
+//! `send` opens one connection, sends each argument as a request line, and
+//! prints each response line to stdout — the scripted-session client the
+//! CI smoke job drives. `metrics` scrapes the `metrics` verb and prints
+//! the Prometheus text-format payload, ready to pipe into a file or a
+//! pushgateway-style relay.
+
+use crate::chaos::Client;
+use crate::{Server, ServerConfig};
+use guardrail_obs as obs;
+use guardrail_obs::json::{self, Json};
+use std::io::Write as _;
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The `guardrail-server` usage text.
+pub const USAGE: &str = "\
+guardrail-server — fault-tolerant multi-tenant serving daemon
+
+USAGE:
+  guardrail-server --listen <addr> [--tenant-inflight N] [--global-inflight N]
+                   [--default-deadline-ms MS] [--max-deadline-ms MS]
+                   [--max-frame-bytes N] [--read-timeout-ms MS]
+                   [--idle-timeout-ms MS] [--retry-after-ms MS]
+                   [--store-root DIR] [--debug-ops] [--trace-out trace.json]
+                   [--metrics-out metrics.jsonl] [--metrics-interval-ms MS]
+  guardrail-server send <addr> <request-json>...
+  guardrail-server metrics <addr>
+
+Protocol: newline-delimited JSON over TCP; one request object per line, one
+response object per line. Ops: fit, detect, rectify, vet, status, metrics,
+shutdown, plus append and detect_batch against persistent stores when
+--store-root is given (stores live at DIR/<tenant>/<table>/, segment + WAL).
+`metrics <addr>` prints the server's Prometheus text-format snapshot.
+See DESIGN.md §4 for the grammar and the shed/degrade/clean taxonomy.";
+
+/// Runs the `guardrail-server` command line on `args` (program name
+/// already stripped): a client subcommand, `--help`, or the daemon.
+/// Failures print `error: <msg>` to stderr and exit with status 2.
+pub fn run(args: &[String]) -> ExitCode {
+    let result = match args.first().map(String::as_str) {
+        Some("send") => cmd_send(&args[1..]),
+        Some("metrics") => cmd_metrics(&args[1..]),
+        Some("--help") | Some("-h") | None => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Some(_) => cmd_daemon(args),
+    };
+    match result {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn parse_ms(value: &Option<String>, flag: &str) -> Result<Option<Duration>, String> {
+    value
+        .as_ref()
+        .map(|v| v.parse::<u64>().map(Duration::from_millis).map_err(|_| format!("bad {flag}")))
+        .transpose()
+}
+
+/// Runs the daemon until a `shutdown` request arrives, then drains.
+/// `args` are the daemon flags listed in [`USAGE`]. Metrics are armed for
+/// the daemon's lifetime.
+pub fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
+    let flag_names = [
+        "--listen",
+        "--tenant-inflight",
+        "--global-inflight",
+        "--default-deadline-ms",
+        "--max-deadline-ms",
+        "--max-frame-bytes",
+        "--read-timeout-ms",
+        "--idle-timeout-ms",
+        "--retry-after-ms",
+        "--trace-out",
+        "--store-root",
+        "--metrics-out",
+        "--metrics-interval-ms",
+    ];
+    let (pos, flags, switches) = parse_flags(args, &flag_names, &["--debug-ops"])?;
+    if !pos.is_empty() {
+        return Err(format!("unexpected argument {:?}\n{USAGE}", pos[0]));
+    }
+    let mut config = ServerConfig {
+        addr: flags[0].clone().ok_or("daemon mode needs --listen <addr>")?,
+        debug_ops: switches[0],
+        ..ServerConfig::default()
+    };
+    if let Some(v) = &flags[1] {
+        config.tenant_inflight = v.parse().map_err(|_| "bad --tenant-inflight")?;
+    }
+    if let Some(v) = &flags[2] {
+        config.global_inflight = v.parse().map_err(|_| "bad --global-inflight")?;
+    }
+    if let Some(d) = parse_ms(&flags[3], "--default-deadline-ms")? {
+        config.default_deadline = d;
+    }
+    if let Some(d) = parse_ms(&flags[4], "--max-deadline-ms")? {
+        config.max_deadline = d;
+    }
+    if let Some(v) = &flags[5] {
+        config.max_frame_bytes = v.parse().map_err(|_| "bad --max-frame-bytes")?;
+    }
+    if let Some(d) = parse_ms(&flags[6], "--read-timeout-ms")? {
+        config.read_timeout = d;
+    }
+    if let Some(d) = parse_ms(&flags[7], "--idle-timeout-ms")? {
+        config.idle_timeout = d;
+    }
+    if let Some(v) = &flags[8] {
+        config.retry_after_ms = v.parse().map_err(|_| "bad --retry-after-ms")?;
+    }
+    let trace_out = flags[9].clone();
+    if let Some(v) = &flags[10] {
+        config.store_root = Some(std::path::PathBuf::from(v));
+    }
+    let metrics_out = flags[11].clone();
+    let metrics_interval = parse_ms(&flags[12], "--metrics-interval-ms")?
+        .unwrap_or(Duration::from_millis(1000))
+        .max(Duration::from_millis(10));
+
+    let ring = trace_out.as_ref().map(|_| {
+        let ring = Arc::new(obs::RingRecorder::with_capacity(1 << 20));
+        obs::install(ring.clone());
+        ring
+    });
+    // A serving daemon always wants its telemetry live: the `metrics` verb
+    // and `status.metrics` are useless against a disarmed registry, and
+    // the armed histogram-record cost is tens of nanoseconds (the bench
+    // gate in `crates/bench/benches/metrics.rs` pins it under 100ns).
+    obs::arm_metrics(true);
+    let handle = Server::spawn(config).map_err(|e| format!("bind failed: {e}"))?;
+    eprintln!("listening on {}", handle.addr());
+
+    // Periodic JSONL metrics dump, if asked for. The thread watches the
+    // drain flag so it dies with the accept loop; the final snapshot below
+    // covers whatever it missed.
+    let dump_thread = metrics_out.clone().map(|path| {
+        let lifecycle = handle.ctx().lifecycle.clone();
+        std::thread::spawn(move || {
+            while !lifecycle.is_draining() {
+                std::thread::sleep(metrics_interval);
+                append_metrics_snapshot(&path);
+            }
+        })
+    });
+
+    // Serve until a `shutdown` request flips the drain flag.
+    while !handle.ctx().lifecycle.is_draining() {
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    eprintln!("draining…");
+    handle.shutdown();
+    if let Some(t) = dump_thread {
+        let _ = t.join();
+    }
+    if let Some(path) = &metrics_out {
+        append_metrics_snapshot(path);
+        eprintln!("metrics snapshot appended to {path}");
+    }
+    if let (Some(path), Some(ring)) = (&trace_out, &ring) {
+        obs::uninstall();
+        let events = ring.take();
+        let trace = obs::chrome_trace(&events);
+        std::fs::write(path, trace).map_err(|e| format!("writing {path:?}: {e}"))?;
+        eprintln!("trace ({} events) written to {path}", events.len());
+    }
+    eprintln!("drained; bye");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Appends one registry snapshot (one JSON object per series) to `path`.
+/// Dump failures are reported, never fatal — metrics must not take down
+/// serving.
+fn append_metrics_snapshot(path: &str) {
+    let snapshot = obs::metrics::snapshot_jsonl();
+    let result = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut f| f.write_all(snapshot.as_bytes()));
+    if let Err(e) = result {
+        eprintln!("metrics dump to {path:?} failed: {e}");
+    }
+}
+
+fn cmd_send(args: &[String]) -> Result<ExitCode, String> {
+    let [addr, requests @ ..] = args else {
+        return Err(format!("send needs <addr> and at least one request\n{USAGE}"));
+    };
+    if requests.is_empty() {
+        return Err(format!("send needs at least one request line\n{USAGE}"));
+    }
+    let addr = addr.parse().map_err(|e| format!("bad address {addr:?}: {e}"))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    for request in requests {
+        let response = client.call(request).map_err(|e| format!("round trip: {e}"))?;
+        println!("{response}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Scrapes the `metrics` verb and prints the Prometheus text payload.
+fn cmd_metrics(args: &[String]) -> Result<ExitCode, String> {
+    let [addr] = args else {
+        return Err(format!("metrics needs exactly <addr>\n{USAGE}"));
+    };
+    let addr = addr.parse().map_err(|e| format!("bad address {addr:?}: {e}"))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let response = client.call(r#"{"op":"metrics"}"#).map_err(|e| format!("round trip: {e}"))?;
+    let doc = json::parse(&response).map_err(|e| format!("unparseable response: {e}"))?;
+    if doc.get("ok") != Some(&Json::Bool(true)) {
+        return Err(format!("server refused metrics scrape: {response}"));
+    }
+    let text = doc
+        .get("prometheus")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("response lacks \"prometheus\": {response}"))?;
+    print!("{text}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// (positional args, `--flag value` values, bare `--switch` states).
+pub type ParsedArgs = (Vec<String>, Vec<Option<String>>, Vec<bool>);
+
+/// Pulls `--flag value` pairs and bare `--switch` toggles out of an
+/// argument list. The `guardrail` CLI parses its subcommands with it too.
+pub fn parse_flags(
+    args: &[String],
+    flags: &[&str],
+    switches: &[&str],
+) -> Result<ParsedArgs, String> {
+    let mut positional = Vec::new();
+    let mut values: Vec<Option<String>> = vec![None; flags.len()];
+    let mut toggles = vec![false; switches.len()];
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if let Some(idx) = flags.iter().position(|f| f == arg) {
+            let v = iter.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            values[idx] = Some(v.clone());
+        } else if let Some(idx) = switches.iter().position(|s| s == arg) {
+            toggles[idx] = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg:?}"));
+        } else {
+            positional.push(arg.clone());
+        }
+    }
+    Ok((positional, values, toggles))
+}

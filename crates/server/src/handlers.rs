@@ -21,7 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Outcome class of one request, for the `server.requests.*` counters.
+/// Outcome class of one request: the `outcome` label of
+/// `guardrail_server_requests_total` and the `status` verb's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Completed with an exact result.
@@ -34,21 +35,11 @@ pub enum Outcome {
     Error,
 }
 
-/// Obs counter names, one per [`Outcome`]. These go through
-/// [`obs::count_always`], so an armed `--trace-out` recorder carries every
-/// count the `status` verb reports.
-pub const COUNTER_NAMES: [(&str, Outcome); 4] = [
-    ("server.requests.ok", Outcome::Ok),
-    ("server.requests.degraded", Outcome::Degraded),
-    ("server.requests.shed", Outcome::Shed),
-    ("server.requests.error", Outcome::Error),
-];
-
-/// Per-server request outcome tallies. Each bump also feeds the
-/// process-global obs counter of the same name (traces read those), but
-/// the totals come from the server's own tallies, so several servers in
-/// one process (tests) each see exactly their own traffic, even when they
-/// serve at the same time.
+/// Per-server request outcome tallies, always on, for the `status` verb.
+/// Each server keeps its own, so several servers in one process (tests)
+/// each see exactly their own traffic, even when they serve at the same
+/// time. The process-wide view is the metrics registry's
+/// `guardrail_server_requests_total{tenant,verb,outcome}`.
 #[derive(Debug, Default)]
 pub struct Counters {
     own: [AtomicU64; 4],
@@ -60,10 +51,8 @@ impl Counters {
         Self::default()
     }
 
-    /// Counts one request outcome (always-on; traced when armed).
+    /// Counts one request outcome.
     pub fn bump(&self, outcome: Outcome) {
-        let (name, _) = COUNTER_NAMES[outcome as usize];
-        obs::count_always(name, 1);
         self.own[outcome as usize].fetch_add(1, Ordering::Relaxed);
     }
 

@@ -36,9 +36,13 @@
 //! mid-request disconnects, garbage blasters, and a scripted [`chaos::Client`]
 //! used by `tests/server_robustness.rs` and the CI `server-smoke` job.
 //!
-//! Request counters (`server.requests.{ok,degraded,shed,error}`) flow
-//! through [`guardrail_obs::count_always`], so the `status` endpoint and a
-//! `--trace-out` recording read the same cells.
+//! Request outcomes are counted twice, for two readers. The `status` verb
+//! reports this server's own tallies ([`handlers::Counters`]). The metrics
+//! registry holds `guardrail_server_requests_total{tenant,verb,outcome}`,
+//! which the `metrics` verb renders. A `--trace-out` recording carries
+//! each request's outcome as the `ok`/`shed` args of its `serve_*` span.
+//! The [`cli`] module is the daemon's command line, shared by the
+//! `guardrail-server` binary and `guardrail serve`.
 //!
 //! ```
 //! use guardrail_server::{chaos::Client, Server, ServerConfig};
@@ -57,6 +61,7 @@
 
 pub mod admission;
 pub mod chaos;
+pub mod cli;
 pub mod handlers;
 pub mod proto;
 pub mod registry;

@@ -225,19 +225,24 @@ fn serve_conn(mut stream: TcpStream, ctx: &Arc<Ctx>) {
         return;
     }
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no `\n`, so each byte is searched once however
+    // many reads a large frame takes.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     // Clock for both timeouts: reset on each completed frame and when the
     // first byte of a new frame arrives.
     let mut wait_started = Instant::now();
     loop {
         // Drain every complete frame already buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
+        while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = buf.drain(..=scanned + pos).collect();
+            scanned = 0;
             wait_started = Instant::now();
             if !process_frame(&line[..line.len() - 1], &mut stream, ctx) {
                 return;
             }
         }
+        scanned = buf.len();
         if ctx.lifecycle.is_draining() {
             return;
         }

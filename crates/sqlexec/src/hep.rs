@@ -42,8 +42,6 @@ pub struct RuleEffects {
 pub trait OptRule {
     /// Rule name, rendered in `EXPLAIN` output.
     fn name(&self) -> &'static str;
-    /// Per-rule `obs` counter key (static, as the counter registry requires).
-    fn counter(&self) -> &'static str;
     /// Attempts the rewrite at `plan`; `None` when the rule does not match.
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, fx: &mut RuleEffects) -> Option<Plan>;
 }
@@ -153,13 +151,11 @@ impl HepOptimizer {
         for batch in &self.batches {
             let mut fired = 0usize;
             while fired < batch.strategy.max_applications {
-                let Some((next, name, counter)) =
-                    rewrite_first(&current, &batch.rules, ctx, &mut fx)
-                else {
+                let Some((next, name)) = rewrite_first(&current, &batch.rules, ctx, &mut fx) else {
                     break; // fixpoint
                 };
                 if let Err(e) = budget.charge(1) {
-                    obs::count("sql_opt.degraded", 1);
+                    obs::count("guardrail_sql_opt_degraded_total", 1);
                     let mut degradation = DegradationReport::default();
                     degradation.record(StageStatus::degraded("sql_optimize", e));
                     span.arg("degraded", 1);
@@ -171,7 +167,6 @@ impl HepOptimizer {
                         degradation,
                     };
                 }
-                obs::count(counter, 1);
                 if obs::metrics::metrics_on() {
                     obs::metrics::add(
                         "guardrail_sql_opt_rule_applications_total",
@@ -206,16 +201,16 @@ fn rewrite_first(
     rules: &[Box<dyn OptRule>],
     ctx: &PlanContext<'_>,
     fx: &mut RuleEffects,
-) -> Option<(Plan, &'static str, &'static str)> {
+) -> Option<(Plan, &'static str)> {
     for rule in rules {
         if let Some(next) = rule.apply(plan, ctx, fx) {
             debug_assert!(next != *plan, "rule {} produced an identical plan", rule.name());
-            return Some((next, rule.name(), rule.counter()));
+            return Some((next, rule.name()));
         }
     }
     let input = plan.input()?;
-    let (new_input, name, counter) = rewrite_first(input, rules, ctx, fx)?;
-    Some((plan.with_input(new_input), name, counter))
+    let (new_input, name) = rewrite_first(input, rules, ctx, fx)?;
+    Some((plan.with_input(new_input), name))
 }
 
 /// Every predicate conjunct in the subtree, tagged with whether it sits
@@ -287,9 +282,6 @@ impl OptRule for CombineFilter {
     fn name(&self) -> &'static str {
         "CombineFilter"
     }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.combine_filter"
-    }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate: outer } = plan else { return None };
         let Plan::Filter { input: inner_input, predicate: inner } = input.as_ref() else {
@@ -318,9 +310,6 @@ pub struct PushPredicateThroughNonJoin;
 impl OptRule for PushPredicateThroughNonJoin {
     fn name(&self) -> &'static str {
         "PushPredicateThroughNonJoin"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.push_predicate"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate } = plan else { return None };
@@ -386,9 +375,6 @@ impl OptRule for CollapseProject {
     fn name(&self) -> &'static str {
         "CollapseProject"
     }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.collapse_project"
-    }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Project { input, items: outer } = plan else { return None };
         let Plan::Project { input: grand, items: inner } = input.as_ref() else { return None };
@@ -410,9 +396,6 @@ pub struct EliminateLimits;
 impl OptRule for EliminateLimits {
     fn name(&self) -> &'static str {
         "EliminateLimits"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.eliminate_limits"
     }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Limit { input, n } = plan else { return None };
@@ -438,9 +421,6 @@ pub struct PushLimitIntoTableScan;
 impl OptRule for PushLimitIntoTableScan {
     fn name(&self) -> &'static str {
         "PushLimitIntoTableScan"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.push_limit"
     }
     fn apply(&self, plan: &Plan, _ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Limit { input, n } = plan else { return None };
@@ -475,9 +455,6 @@ pub struct ContradictionDetection;
 impl OptRule for ContradictionDetection {
     fn name(&self) -> &'static str {
         "ContradictionDetection"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.contradiction"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         // Propagation: anything over an empty scan is empty.
@@ -566,9 +543,6 @@ impl OptRule for ImpliedPredicatePruning {
     fn name(&self) -> &'static str {
         "ImpliedPredicatePruning"
     }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.implied_prune"
-    }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Filter { input, predicate } = plan else { return None };
         let above_vet = input.vet_scheme().is_some();
@@ -619,9 +593,6 @@ pub struct VetMinimalProjection;
 impl OptRule for VetMinimalProjection {
     fn name(&self) -> &'static str {
         "VetMinimalProjection"
-    }
-    fn counter(&self) -> &'static str {
-        "sql_opt.rule.vet_narrow"
     }
     fn apply(&self, plan: &Plan, ctx: &PlanContext<'_>, _fx: &mut RuleEffects) -> Option<Plan> {
         let Plan::Vet { input, scheme, columns: None } = plan else { return None };

@@ -285,3 +285,51 @@ fn ingest_then_synth_and_check_from_store() {
     // ingest without --store is a usage error.
     assert_eq!(run(&["ingest", clean.to_str().unwrap()]).status.code(), Some(2));
 }
+
+/// `guardrail serve` is the `guardrail-server` daemon: it takes the
+/// daemon's full flag set and runs with metrics armed.
+#[test]
+fn serve_is_the_full_daemon() {
+    use guardrail::server::chaos::{self, Client};
+    use std::io::{BufRead, BufReader, Read};
+
+    let dir = tmpdir("serve");
+    let metrics_out = dir.join("m.jsonl");
+    let _ = std::fs::remove_file(&metrics_out);
+    let mut child = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--max-frame-bytes", "4096", "--metrics-out"])
+        .arg(&metrics_out)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    let addr: std::net::SocketAddr = loop {
+        line.clear();
+        if stderr.read_line(&mut line).unwrap() == 0 {
+            let _ = child.wait();
+            panic!("daemon exited before listening");
+        }
+        if let Some(addr) = line.trim().strip_prefix("listening on ") {
+            break addr.parse().unwrap();
+        }
+    };
+    let drain = std::thread::spawn(move || {
+        let mut rest = String::new();
+        let _ = stderr.read_to_string(&mut rest);
+        rest
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    let status = client.call(r#"{"op":"status"}"#).unwrap();
+    assert!(status.contains(r#""armed":true"#), "{status}");
+    let big = format!(r#"{{"op":"fit","csv":"{}"}}"#, "x".repeat(8 << 10));
+    let reply = chaos::blast(addr, big.as_bytes(), std::time::Duration::from_secs(2)).unwrap();
+    assert!(String::from_utf8_lossy(&reply).contains("PAYLOAD_TOO_LARGE"));
+    assert!(client.call(r#"{"op":"shutdown"}"#).unwrap().contains(r#""draining":true"#));
+
+    assert!(child.wait().unwrap().success());
+    let log = drain.join().unwrap();
+    let dump = std::fs::read_to_string(&metrics_out).unwrap_or_default();
+    assert!(dump.contains(r#""metric":"guardrail_server_request_duration_us""#), "{log}\n{dump}");
+}

@@ -1,14 +1,9 @@
 //! Property and concurrency tests for the lock-free histogram at the heart
 //! of `obs::metrics`.
 //!
-//! Three families of claims, none of which the unit tests in the module can
+//! Two families of claims, neither of which the unit tests in the module can
 //! pin as hard as random inputs do:
 //!
-//! * **Merge is a lattice join on the count vectors**: merging histograms
-//!   is associative and commutative, and merged quantiles equal the
-//!   quantiles of recording the concatenated sample into one histogram —
-//!   the property the parallel paths rely on when
-//!   workers record locally and merge at the end.
 //! * **Quantile error is bounded by the bucket scheme**: for any sample
 //!   and any rank, the reported quantile lands in the same log-linear
 //!   bucket as the exact order statistic (≤25% relative width above 16,
@@ -51,38 +46,6 @@ fn arb_value() -> impl Strategy<Value = u64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn merge_is_commutative_and_associative(
-        a in proptest::collection::vec(arb_value(), 0..200),
-        b in proptest::collection::vec(arb_value(), 0..200),
-        c in proptest::collection::vec(arb_value(), 0..200),
-    ) {
-        // (a ∪ b) ∪ c, recorded pairwise in both association orders and
-        // both argument orders, must equal one histogram of the
-        // concatenation — bucket vector, count, sum, and max alike.
-        let ab_c = hist_of(&a);
-        ab_c.merge_from(&hist_of(&b));
-        ab_c.merge_from(&hist_of(&c));
-
-        let a_bc = hist_of(&c);
-        a_bc.merge_from(&hist_of(&b));
-        a_bc.merge_from(&hist_of(&a));
-
-        let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let flat = hist_of(&all);
-
-        for h in [&ab_c, &a_bc] {
-            prop_assert_eq!(h.bucket_counts(), flat.bucket_counts());
-            prop_assert_eq!(h.count(), flat.count());
-            prop_assert_eq!(h.sum(), flat.sum());
-            prop_assert_eq!(h.max(), flat.max());
-        }
-        for q in [0.5, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(ab_c.quantile(q), flat.quantile(q));
-            prop_assert_eq!(a_bc.quantile(q), flat.quantile(q));
-        }
-    }
 
     #[test]
     fn quantiles_land_in_the_exact_order_statistic_bucket(

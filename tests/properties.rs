@@ -58,6 +58,40 @@ fn arb_statement() -> impl Strategy<Value = Statement> {
         })
 }
 
+/// Caps `text` at 4 KiB, cutting on a character boundary.
+fn cap_4k(mut text: String) -> String {
+    while text.len() > 4096 {
+        text.pop();
+    }
+    text
+}
+
+/// Up to 4 KiB of text: arbitrary Unicode (ASCII-weighted), or a soup of
+/// `tokens`, which reaches deeper into a parser's grammar than random
+/// characters do.
+fn arb_text(tokens: &'static [&'static str]) -> impl Strategy<Value = String> {
+    let code_point = prop_oneof![0u32..0x80, 0u32..0x11_0000];
+    prop_oneof![
+        proptest::collection::vec(code_point, 0..1024)
+            .prop_map(|cps| cap_4k(cps.into_iter().filter_map(char::from_u32).collect())),
+        proptest::collection::vec((0..tokens.len()).prop_map(move |i| tokens[i]), 0..1024)
+            .prop_map(|t| cap_4k(t.concat())),
+    ]
+}
+
+const JSON_TOKENS: &[&str] = &[
+    "{", "}", "[", "]", "\"", ":", ",", "\\", "\\u00e9", "\\ud800", "\\n", "0", "17", "-", ".",
+    "e", "E+", "true", "fals", "null", " ", "\n", "\"k\"", "é", "\u{1}",
+];
+
+const DSL_TOKENS: &[&str] = &[
+    "GIVEN ", "ON ", "HAVING ", "IF ", "THEN ", "AND ", "<-", "←", "=", ";", ",", "\"v\"", "\"",
+    "`", "zip", "a-b_1", "42", "-3.5", "1e9", "true", "NULL", " ", "\n", "é",
+];
+
+const CSV_TOKENS: &[&str] =
+    &[",", "\"", "\"\"", "\n", "\r\n", "\r", "a", "1", "-2.5", "NA", "true", " ", "é", "\u{0}"];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -95,6 +129,29 @@ proptest! {
         let mut twice = once.clone();
         prop_assert_eq!(compiled2.rectify_table(&mut twice), 0);
         prop_assert_eq!(once.to_csv_string(), twice.to_csv_string());
+    }
+
+    // The parsers that take outside bytes return `Ok` or `Err` on any
+    // input up to 4 KiB; none may panic.
+
+    #[test]
+    fn json_parse_never_panics(text in arb_text(JSON_TOKENS)) {
+        let _ = guardrail::obs::json::parse(&text);
+    }
+
+    #[test]
+    fn csv_decode_never_panics(
+        bytes in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..4096),
+            arb_text(CSV_TOKENS).prop_map(String::into_bytes),
+        ]
+    ) {
+        let _ = Table::from_csv_bytes(&bytes);
+    }
+
+    #[test]
+    fn dsl_parse_never_panics(text in arb_text(DSL_TOKENS)) {
+        let _ = parse_program(&text);
     }
 }
 

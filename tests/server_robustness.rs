@@ -367,6 +367,30 @@ fn oversized_frame_rejected_with_typed_error() {
     handle.shutdown();
 }
 
+/// Frames that straddle reads: two whole frames and half of a third
+/// arrive in one write, the rest of the third one byte per write. Every
+/// frame is answered, in order.
+#[test]
+fn frames_split_across_reads_are_answered_in_order() {
+    let handle = Server::spawn(ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let third = r#"{"op":"detect","table":"zips","csv":"zip,city\n94704,Portland\n"}"#;
+    let (head, tail) = third.split_at(third.len() / 2);
+    let first_write = format!("{}\n{}\n{head}", fit_req(&zip_city_csv(20)), r#"{"op":"status"}"#);
+    client.send_raw(first_write.as_bytes()).unwrap();
+    for byte in tail.bytes().chain(std::iter::once(b'\n')) {
+        client.send_raw(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for op in ["fit", "status", "detect"] {
+        let line = client.recv_line().unwrap();
+        let resp = json::parse(&line).unwrap();
+        assert!(is_ok(&resp), "{line}");
+        assert_eq!(resp.get("op").and_then(Json::as_str), Some(op), "{line}");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn graceful_drain_finishes_in_flight_then_refuses() {
     let handle = chaos_server();
