@@ -7,19 +7,20 @@ use guardrail_dsl::{CompiledProgram, IncrementalDetector, Program, Violation};
 use guardrail_governor::{Budget, DegradationReport, Parallelism};
 use guardrail_obs::{self as obs, PipelineReport};
 use guardrail_synth::{synthesize_governed, SynthesisConfig, SynthesisOutcome};
-use guardrail_table::{Row, Table, TableSource, Value};
+use guardrail_table::{Column, Row, Table, TableSource, Value};
 
 /// Synthesis configuration for [`Guardrail::fit`] (re-exported alias of the
 /// synthesis crate's config so downstream users need only this crate).
 pub type GuardrailConfig = SynthesisConfig;
 
 /// Outcome of the batched query-time vetting hook
-/// ([`Guardrail::vet_rows`]): the gathered rows after the error scheme was
-/// applied, plus every violation found.
+/// ([`Guardrail::vet_rows`]): the gathered columns after the error scheme
+/// was applied, plus every violation found.
 #[derive(Debug, Clone)]
 pub struct BatchVet {
-    /// The vetted rows, in input order, processed under the requested
-    /// [`ErrorScheme`] (untouched for `Raise`/`Ignore`).
+    /// The vetted rows restricted to the requested columns, in input order,
+    /// processed under the requested [`ErrorScheme`] (untouched for
+    /// `Raise`/`Ignore`).
     pub table: Table,
     /// All violations, ordered by row (indices into `table`, i.e. positions
     /// in the caller's row list), then statement, then branch.
@@ -28,26 +29,10 @@ pub struct BatchVet {
     /// interpreter (decision-table key space past the enumeration cap).
     /// Zero when every statement ran vectorized, and for the empty program.
     pub legacy_statements: usize,
-}
-
-/// Outcome of the column-narrowed vetting hook
-/// ([`Guardrail::vet_rows_narrow`]): like [`BatchVet`], but `table` holds
-/// only the attributes the fitted program binds (determinants ∪ dependents),
-/// so callers must overlay the `written` columns onto their own copies of
-/// the raw rows to reconstruct full vetted rows.
-#[derive(Debug, Clone)]
-pub struct NarrowVet {
-    /// The vetted rows restricted to the program-bound columns, in input
-    /// order, processed under the requested [`ErrorScheme`].
-    pub table: Table,
-    /// All violations, ordered by row (indices into `table`, i.e. positions
-    /// in the caller's row list), then statement, then branch.
-    pub violations: Vec<Violation>,
-    /// Statements that fell back to the legacy row-at-a-time interpreter.
-    pub legacy_statements: usize,
-    /// Attribute names the scheme may have rewritten (dependents), i.e. the
-    /// columns of `table` the caller must copy back onto the raw rows.
-    /// Empty for `Raise`/`Ignore` (nothing is rewritten).
+    /// Attribute names the scheme may have rewritten (dependents): the only
+    /// columns of `table` that can differ from the gathered input, so a
+    /// caller holding the raw rows overlays just these. Empty for
+    /// `Raise`/`Ignore` and for the empty program.
     pub written: Vec<String>,
 }
 
@@ -67,8 +52,8 @@ pub struct RectifyConflict {
 ///
 /// Construction runs the full offline pipeline (sketch learning → Alg. 2);
 /// the fitted object then validates / repairs incoming data, either in bulk
-/// ([`Guardrail::detect`] / [`Guardrail::apply`]) or row-by-row at query time
-/// ([`Guardrail::handle_row`]).
+/// ([`Guardrail::detect`] / [`Guardrail::apply`]) or at query time, batched
+/// ([`Guardrail::vet_rows`]) or one row at a time ([`Guardrail::handle_row`]).
 #[derive(Debug, Clone)]
 pub struct Guardrail {
     outcome: SynthesisOutcome,
@@ -284,8 +269,9 @@ impl Guardrail {
         (out, ApplyReport { violations, cells_changed })
     }
 
-    /// Vets one incoming row under `scheme` — the query-time guardrail hook
-    /// of Fig. 1 (used by `guardrail-sqlexec` before every ML inference).
+    /// Vets one incoming row under `scheme` — the single-row form of the
+    /// query-time guardrail hook of Fig. 1 (batched callers use
+    /// [`vet_rows`](Guardrail::vet_rows)).
     pub fn handle_row(&self, row: &Row, scheme: ErrorScheme) -> RowOutcome {
         let program = self.program();
         let violations = program.check_row(row);
@@ -312,104 +298,63 @@ impl Guardrail {
     /// Vets a batch of rows in one vectorized pass — the query-time
     /// guardrail hook of Fig. 1 for callers that hold a whole scan's worth
     /// of rows (used by `guardrail-sqlexec` before `PREDICT`): gathers
-    /// `rows` from `table`, runs the compiled program's decision-table scan
-    /// over the sub-table, and applies `scheme` table-wide. Equivalent to
-    /// calling [`handle_row`](Guardrail::handle_row) on each row, without
+    /// `columns` of `rows` from `source`, runs the compiled program's
+    /// decision-table scan over the sub-table, and applies `scheme`
+    /// table-wide. Equivalent to calling
+    /// [`handle_row`](Guardrail::handle_row) on each row, without
     /// materializing a [`Row`] or re-resolving attribute names per row.
+    ///
+    /// Passing every column of `source` vets the full row width; passing
+    /// [`bound_attributes`](Guardrail::bound_attributes) decodes only what
+    /// the program reads or writes. Either way, rectification and coercion
+    /// change only the [`BatchVet::written`] columns, so callers rebuild
+    /// full vetted rows by overlaying those onto the raw rows. A name in
+    /// `columns` that `source` lacks is gathered as an all-Null column —
+    /// the value-level hook's reading of a missing attribute.
     ///
     /// `Raise` does not abort here (a library cannot meaningfully panic on
     /// data errors): the report's violations are ordered by row, so callers
     /// abort on `violations.first()` exactly as the per-row hook would have
     /// on the first dirty row.
     ///
-    /// Returns `None` when the program references attributes `table`
-    /// lacks — compilation is all-or-nothing while the value-level hook
-    /// degrades per statement, so that regime must keep the per-row path.
-    pub fn vet_rows<S: TableSource + ?Sized>(
+    /// Returns `None` when the program reads or writes an attribute outside
+    /// `columns`.
+    pub fn vet_rows<S: TableSource + ?Sized, C: AsRef<str>>(
         &self,
         source: &S,
         rows: &[usize],
+        columns: &[C],
         scheme: ErrorScheme,
     ) -> Option<BatchVet> {
         let mut vet_span = obs::span("vet_rows");
         vet_span.arg("rows", rows.len() as u64);
-        let mut sub = source.as_table().take(rows);
+        vet_span.arg("columns", columns.len() as u64);
+        let table = source.as_table();
+        let named: Vec<(&str, Column)> = columns
+            .iter()
+            .map(|name| {
+                let name = name.as_ref();
+                let col = match table.column_by_name(name) {
+                    Some(col) => col.take(rows),
+                    None => Column::from_values(rows.iter().map(|_| Value::Null)),
+                };
+                (name, col)
+            })
+            .collect();
+        let mut sub = Table::from_columns(named).ok()?;
         let Some(compiled) = self.compile(&sub) else {
             // An empty program vets trivially; a program that does not bind
-            // to this schema does not.
+            // to the gathered columns does not.
             return self.outcome.program.statements.is_empty().then(|| BatchVet {
                 table: sub,
                 violations: Vec::new(),
                 legacy_statements: 0,
+                written: Vec::new(),
             });
         };
         let legacy_statements = compiled.legacy_statement_count();
         let violations = compiled.check_table_parallel(&sub, self.parallelism);
-        match scheme {
-            ErrorScheme::Raise | ErrorScheme::Ignore => {}
-            ErrorScheme::Coerce => {
-                compiled.coerce_table_parallel(&mut sub, self.parallelism);
-            }
-            ErrorScheme::Rectify => {
-                compiled.rectify_table_parallel(&mut sub, self.parallelism);
-            }
-        }
-        vet_span.arg("violations", violations.len() as u64);
-        vet_span.arg("legacy_statements", legacy_statements as u64);
-        Some(BatchVet { table: sub, violations, legacy_statements })
-    }
-
-    /// Attribute names the fitted program reads or writes (determinants and
-    /// dependents), deduplicated, in first-use order. The minimal column
-    /// set [`vet_rows_narrow`](Guardrail::vet_rows_narrow) decodes.
-    pub fn bound_attributes(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for s in &self.outcome.program.statements {
-            for name in s.given.iter().chain(std::iter::once(&s.on)) {
-                if !out.iter().any(|n| n == name) {
-                    out.push(name.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Column-narrowed variant of [`vet_rows`](Guardrail::vet_rows): the
-    /// gather and the decision-table scan touch only the columns the bound
-    /// statements actually read or write, instead of decoding the full row
-    /// width. The returned [`NarrowVet::table`] therefore holds *only*
-    /// those columns; callers reconstruct full vetted rows by overlaying
-    /// the [`NarrowVet::written`] columns onto the raw source rows —
-    /// rectification and coercion never change any other column, so the
-    /// overlay is exact.
-    ///
-    /// Returns `None` when the program is empty or references attributes
-    /// `source` lacks; callers fall back to [`vet_rows`](Guardrail::vet_rows)
-    /// or the per-row hook, exactly as before.
-    pub fn vet_rows_narrow<S: TableSource + ?Sized>(
-        &self,
-        source: &S,
-        rows: &[usize],
-        scheme: ErrorScheme,
-    ) -> Option<NarrowVet> {
-        if self.outcome.program.statements.is_empty() {
-            return None;
-        }
-        let table = source.as_table();
-        let bound = self.bound_attributes();
-        let mut named = Vec::with_capacity(bound.len());
-        for name in &bound {
-            let col = table.column_by_name(name)?;
-            named.push((name.clone(), col.take(rows)));
-        }
-        let mut vet_span = obs::span("vet_rows");
-        vet_span.arg("rows", rows.len() as u64);
-        vet_span.arg("narrow_columns", bound.len() as u64);
-        let mut sub = Table::from_columns(named).ok()?;
-        let compiled = self.outcome.program.compile_for(&sub).ok()?;
-        let legacy_statements = compiled.legacy_statement_count();
-        let violations = compiled.check_table_parallel(&sub, self.parallelism);
-        let written: Vec<String> = match scheme {
+        let written = match scheme {
             ErrorScheme::Raise | ErrorScheme::Ignore => Vec::new(),
             ErrorScheme::Coerce => {
                 compiled.coerce_table_parallel(&mut sub, self.parallelism);
@@ -422,7 +367,22 @@ impl Guardrail {
         };
         vet_span.arg("violations", violations.len() as u64);
         vet_span.arg("legacy_statements", legacy_statements as u64);
-        Some(NarrowVet { table: sub, violations, legacy_statements, written })
+        Some(BatchVet { table: sub, violations, legacy_statements, written })
+    }
+
+    /// Attribute names the fitted program reads or writes (determinants and
+    /// dependents), deduplicated, in first-use order: the minimal column
+    /// set [`vet_rows`](Guardrail::vet_rows) needs.
+    pub fn bound_attributes(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for s in &self.outcome.program.statements {
+            for name in s.given.iter().chain(std::iter::once(&s.on)) {
+                if !out.iter().any(|n| n == name) {
+                    out.push(name.clone());
+                }
+            }
+        }
+        out
     }
 
     /// Dependent attribute names, deduplicated, in statement order.
@@ -542,6 +502,34 @@ mod tests {
         assert_eq!(rep.cells_changed, 1);
         // Clean row untouched by any scheme.
         assert_eq!(rectified.get(1, 1), Some(Value::from("Portland")));
+    }
+
+    #[test]
+    fn vet_rows_gathers_the_requested_columns() {
+        let g = fitted(400);
+        let dirty =
+            Table::from_csv_str("zip,city,weather\n94704,gibbon,w0\n97201,Portland,w1\n").unwrap();
+        let rows = [0, 1];
+        // The full width and the bound columns vet alike.
+        let full =
+            g.vet_rows(&dirty, &rows, &dirty.schema().names(), ErrorScheme::Rectify).unwrap();
+        let narrow =
+            g.vet_rows(&dirty, &rows, &g.bound_attributes(), ErrorScheme::Rectify).unwrap();
+        assert_eq!(full.violations.len(), 1);
+        assert_eq!(narrow.violations.len(), 1);
+        assert!(full.written.iter().any(|w| w == "city"));
+        assert_eq!(full.written, narrow.written);
+        for vetted in [&full.table, &narrow.table] {
+            let city = vetted.schema().index_of("city").unwrap();
+            assert_eq!(vetted.get(0, city), Some(Value::from("Berkeley")));
+        }
+        // A listed column the source lacks reads as Null; an attribute the
+        // program needs that the caller did not list does not bind.
+        let no_city = Table::from_csv_str("zip\n94704\n").unwrap();
+        let vetted = g.vet_rows(&no_city, &[0], &["zip", "city"], ErrorScheme::Ignore).unwrap();
+        assert!(!vetted.violations.is_empty(), "a Null city disagrees with the constraint");
+        assert!(vetted.written.is_empty());
+        assert!(g.vet_rows(&no_city, &[0], &["zip"], ErrorScheme::Ignore).is_none());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! paper's system sees:
 //!
 //! ```text
-//! Guardrail::fit(&clean_split, &config)      // offline synthesis (§3–4)
-//!     .detect(&incoming)                     // Eqn. 1 error detection
-//!     / .apply(&incoming, ErrorScheme::...)  // raise | ignore | coerce | rectify (§7)
-//!     / .handle_row(&row, scheme)            // per-row guardrail for query time
+//! Guardrail::fit(&clean_split, &config)        // offline synthesis (§3–4)
+//!     .detect(&incoming)                       // Eqn. 1 error detection
+//!     / .apply(&incoming, ErrorScheme::...)    // raise | ignore | coerce | rectify (§7)
+//!     / .vet_rows(&incoming, &rows, &cols, s)  // batched guardrail for query time
+//!     / .handle_row(&row, scheme)              // the same hook for one row
 //! ```
 //!
 //! # Example
@@ -41,9 +42,7 @@ pub mod report;
 pub mod scheme;
 
 pub use error::GuardrailError;
-pub use guardrail::{
-    BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, NarrowVet, RectifyConflict,
-};
+pub use guardrail::{BatchVet, Guardrail, GuardrailBuilder, GuardrailConfig, RectifyConflict};
 pub use numeric::{NumericGuard, NumericGuardConfig, NumericViolation};
 pub use report::{ApplyReport, DetectionReport};
 pub use scheme::{ErrorScheme, RowOutcome};

@@ -17,7 +17,7 @@
 //!   crate's `ci_test_reference`).
 //! * **Row-level (value-level)** — [`Program::execute_row`] /
 //!   [`Program::check_row`] interpret a program over a single owned
-//!   [`Row`] by name, used by the SQL executor's per-row guardrail hook.
+//!   [`Row`] by name: the single-row API behind `Guardrail::handle_row`.
 
 use crate::ast::{Branch, Program, Statement};
 use crate::engine::{DetectScratch, Probe, RawViolation, StatementEngine};

@@ -338,7 +338,8 @@ fn vet(ctx: &Ctx, req: &Request, budget: &Budget) -> HandlerResult {
     let engine = engine_for(ctx, req)?;
     let table = payload_table(req)?;
     let rows: Vec<usize> = (0..table.num_rows()).collect();
-    let vetted = engine.guard.vet_rows(&table, &rows, scheme).ok_or_else(|| {
+    let columns = table.schema().names();
+    let vetted = engine.guard.vet_rows(&table, &rows, &columns, scheme).ok_or_else(|| {
         WireError::new(
             ErrorKind::BadRequest,
             "published program does not bind to the payload schema",

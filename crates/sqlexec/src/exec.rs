@@ -1,15 +1,27 @@
-//! The query executor.
+//! The query executor: runs the optimized [`Plan`] node by node.
+//!
+//! Every plan node is one operator over a stream of [`Tuple`]s; a parent
+//! pulls rows from its input. `Scan` and `Vet` are pipeline breakers: the
+//! scan evaluates its pushed conjuncts over the whole table before any row
+//! moves up, and the vet gathers every row it receives into one vectorized
+//! guardrail pass. `Filter`, `Predict`, `Project` and `Limit` work a row at
+//! a time, so a `LIMIT` above a residual filter stops model inference as
+//! soon as enough rows survive. The `GROUP BY` / `HAVING` / `ORDER BY` /
+//! `LIMIT` epilogue then runs over the collected rows, driven by the query.
 
-use crate::ast::{AggFunc, BinOp, Expr, Query, SortOrder};
+use crate::ast::{AggFunc, BinOp, Expr, Query, SelectItem, SortOrder};
 use crate::catalog::Catalog;
 use crate::error::SqlError;
-use crate::hep::HepOptimizer;
+use crate::hep::{HepOptimizer, OptOutcome};
 use crate::optimizer::join_conjuncts;
 use crate::parser::parse_query;
 use crate::planner::{self, collect_models, lift, Plan, PlanContext};
-use guardrail_core::{ErrorScheme, Guardrail, RowOutcome};
+use guardrail_core::{ErrorScheme, Guardrail};
 use guardrail_governor::{Budget, DegradationReport};
+use guardrail_obs::{self as obs, Span};
 use guardrail_table::{Row, Table, TableBuilder, Value};
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -19,8 +31,8 @@ use std::time::Instant;
 pub struct ExecutionStats {
     /// Rows in the base table.
     pub rows_scanned: usize,
-    /// Rows surviving pushed-down predicates (== `rows_scanned` when no
-    /// predicate was pushable).
+    /// Rows surviving the scan's pushed-down predicates (== `rows_scanned`
+    /// when no predicate was pushable).
     pub rows_after_pushdown: usize,
     /// Rows vetted by the guardrail before inference.
     pub rows_vetted: usize,
@@ -34,8 +46,7 @@ pub struct ExecutionStats {
     pub violations: usize,
     /// Program statements served by the legacy row-at-a-time interpreter
     /// during batched vetting (decision-table key space past the engine's
-    /// enumeration cap). Zero when every statement ran vectorized, and on
-    /// the per-row fallback path (which never compiles an engine).
+    /// enumeration cap). Zero when every statement ran vectorized.
     pub engine_fallback_statements: usize,
     /// Optimizer rule applications that shaped this query's plan.
     pub rules_applied: usize,
@@ -107,6 +118,16 @@ pub struct Executor<'a> {
 /// deliberately tiny caps (tests) or pathological predicates.
 const DEFAULT_OPT_BUDGET: u64 = 4096;
 
+/// A query planned against the catalog.
+struct Planned<'a> {
+    /// The rewrite context the plan was built under: the `FROM` table and
+    /// the guardrail facts `EXPLAIN` renders.
+    ctx: PlanContext<'a>,
+    /// The plan to execute and what the optimizer did to get it: no rules
+    /// and a complete report when plan optimization is disabled.
+    opt: OptOutcome,
+}
+
 impl<'a> Executor<'a> {
     /// An executor with plan optimization enabled and no guardrail.
     pub fn new(catalog: &'a Catalog) -> Self {
@@ -135,22 +156,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// The plan-rewrite context for one query.
-    fn plan_context<'t>(
-        &self,
-        base: &'t Table,
-        models: &[String],
-        has_where: bool,
-    ) -> PlanContext<'t> {
-        let mut ctx = PlanContext::new(base);
-        if !models.is_empty() {
-            if let Some((guard, scheme)) = self.guardrail {
-                ctx = ctx.with_guardrail(guard, scheme, has_where);
-            }
-        }
-        ctx
-    }
-
     /// Parses and executes `sql`.
     pub fn run(&self, sql: &str) -> Result<QueryOutput, SqlError> {
         let query = parse_query(sql)?;
@@ -163,481 +168,440 @@ impl<'a> Executor<'a> {
     /// fired.
     pub fn explain(&self, sql: &str) -> Result<String, SqlError> {
         let query = parse_query(sql)?;
+        Ok(self.render(&query, &self.plan(&query)?))
+    }
+
+    /// `EXPLAIN ANALYZE`: renders the plan, executes it, and appends the
+    /// observed [`ExecutionStats`] below it.
+    pub fn explain_analyze(&self, sql: &str) -> Result<String, SqlError> {
+        let query = parse_query(sql)?;
+        let span = obs::span("run_query");
+        let planned = self.plan(&query)?;
+        let plan = self.render(&query, &planned);
+        let out = self.execute(&query, planned, span)?;
+        Ok(format!("{plan}{}", out.stats))
+    }
+
+    /// Executes a parsed query.
+    pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
+        let span = obs::span("run_query");
+        let planned = self.plan(query)?;
+        self.execute(query, planned, span)
+    }
+
+    /// Resolves the query's table and models, lifts the naive plan and,
+    /// unless plan optimization is disabled, rewrites it to fixpoint. The
+    /// naive spine *is* this engine's reference semantics; exhausting the
+    /// optimizer budget degrades back to it (recorded in the report), never
+    /// to an error.
+    fn plan(&self, query: &Query) -> Result<Planned<'a>, SqlError> {
         let base = self
             .catalog
             .table(&query.from)
             .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
-        let models = collect_models(&query);
-        let ctx = self.plan_context(base, &models, query.where_clause.is_some());
-        let naive = lift(&query, &ctx);
-        if !self.pushdown {
-            return Ok(planner::render(&naive, &query, &ctx));
+        let models = collect_models(query);
+        if let Some(m) = models.iter().find(|m| self.catalog.model(m).is_none()) {
+            return Err(SqlError::UnknownModel(m.clone()));
         }
-        let outcome = HepOptimizer::standard().optimize(
-            &naive,
-            &ctx,
-            &Budget::with_work_cap(self.opt_budget),
-        );
-        let mut out = planner::render(&outcome.plan, &query, &ctx);
-        if outcome.applied.is_empty() {
+        let mut ctx = PlanContext::new(base);
+        if let (false, Some((guard, scheme))) = (models.is_empty(), self.guardrail) {
+            ctx = ctx.with_guardrail(guard, scheme, query.where_clause.is_some());
+        }
+        let naive = lift(query, &ctx);
+        let opt = if self.pushdown {
+            let budget = Budget::with_work_cap(self.opt_budget);
+            HepOptimizer::standard().optimize(&naive, &ctx, &budget)
+        } else {
+            OptOutcome {
+                plan: naive,
+                applied: Vec::new(),
+                rules_applied: 0,
+                predicates_pruned: 0,
+                degradation: DegradationReport::default(),
+            }
+        };
+        Ok(Planned { ctx, opt })
+    }
+
+    /// The `EXPLAIN` text: the plan, then (when the optimizer ran) the
+    /// rules it applied and whether its budget ran out.
+    fn render(&self, query: &Query, planned: &Planned<'_>) -> String {
+        let opt = &planned.opt;
+        let mut out = planner::render(&opt.plan, query, &planned.ctx);
+        if !self.pushdown {
+            return out;
+        }
+        if opt.applied.is_empty() {
             out.push_str("  Rules: none\n");
         } else {
-            let parts: Vec<String> = outcome
+            let parts: Vec<String> = opt
                 .applied
                 .iter()
                 .map(|(n, c)| if *c > 1 { format!("{n} x{c}") } else { (*n).to_string() })
                 .collect();
             out.push_str(&format!("  Rules: {}\n", parts.join(", ")));
         }
-        if !outcome.degradation.is_complete() {
+        if !opt.degradation.is_complete() {
             out.push_str("  Degraded: optimizer budget exhausted, naive plan kept\n");
         }
-        Ok(out)
+        out
     }
 
-    /// `EXPLAIN ANALYZE`: renders the plan, executes the query, and appends
-    /// the observed [`ExecutionStats`] below it.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String, SqlError> {
-        let plan = self.explain(sql)?;
-        let out = self.run(sql)?;
-        Ok(format!("{plan}{}", out.stats))
-    }
-
-    /// Executes a parsed query.
-    pub fn run_query(&self, query: &Query) -> Result<QueryOutput, SqlError> {
-        let base = self
-            .catalog
-            .table(&query.from)
-            .ok_or_else(|| SqlError::UnknownTable(query.from.clone()))?;
-        let mut query_span = guardrail_obs::span("run_query");
-        query_span.arg("rows_scanned", base.num_rows() as u64);
-        let mut stats =
-            ExecutionStats { rows_scanned: base.num_rows(), ..ExecutionStats::default() };
-
-        // Which models does the query call?
-        let models = collect_models(query);
-        for m in &models {
-            if self.catalog.model(m).is_none() {
-                return Err(SqlError::UnknownModel(m.clone()));
-            }
-        }
-
-        // Phase 0: lift the naive plan and rewrite it to fixpoint. The
-        // naive spine *is* this engine's reference semantics; exhausting the
-        // optimizer budget degrades back to it (recorded in the report),
-        // never to an error.
-        let ctx = self.plan_context(base, &models, query.where_clause.is_some());
-        let naive = lift(query, &ctx);
-        let (plan, degradation) = if self.pushdown {
-            let outcome = HepOptimizer::standard().optimize(
-                &naive,
-                &ctx,
-                &Budget::with_work_cap(self.opt_budget),
-            );
-            stats.rules_applied = outcome.rules_applied;
-            stats.predicates_pruned = outcome.predicates_pruned;
-            (outcome.plan, outcome.degradation)
-        } else {
-            (naive, DegradationReport::default())
+    /// Runs a planned query: the plan's operators, then the query-driven
+    /// epilogue. `span` is the query's `run_query` span.
+    fn execute(
+        &self,
+        query: &Query,
+        planned: Planned<'a>,
+        mut span: Span,
+    ) -> Result<QueryOutput, SqlError> {
+        let Planned { ctx, opt } = planned;
+        let base = ctx.base;
+        let run = Run {
+            catalog: self.catalog,
+            guardrail: self.guardrail.map(|(guard, _)| guard),
+            base,
+            stats: RefCell::new(ExecutionStats {
+                rows_scanned: base.num_rows(),
+                rules_applied: opt.rules_applied,
+                predicates_pruned: opt.predicates_pruned,
+                ..ExecutionStats::default()
+            }),
         };
-
-        // Flatten the linear spine into a physical spec: which conjuncts
-        // run on raw scan rows vs after vet/predict, the scan's early-stop
-        // cap, the post-residual row cap, and the narrowed vet column set.
-        fn has_barrier(p: &Plan) -> bool {
-            match p {
-                Plan::Vet { .. } | Plan::Predict { .. } => true,
-                other => other.input().map(has_barrier).unwrap_or(false),
-            }
-        }
-        let mut pushed_parts: Vec<Expr> = Vec::new();
-        let mut residual_parts: Vec<Expr> = Vec::new();
-        let mut scan_limit: Option<usize> = None;
-        let mut plan_limit: Option<usize> = None;
-        let mut vet_columns: Option<Vec<String>> = None;
-        let mut empty_reason: Option<String> = None;
-        {
-            let mut node = &plan;
-            loop {
-                match node {
-                    Plan::Limit { input, n } => {
-                        plan_limit = Some(plan_limit.map_or(*n, |c| c.min(*n)));
-                        node = input;
-                    }
-                    Plan::Filter { input, predicate } => {
-                        let parts = crate::optimizer::split_conjuncts(predicate);
-                        if has_barrier(input) {
-                            residual_parts.extend(parts);
-                        } else {
-                            pushed_parts.extend(parts);
-                        }
-                        node = input;
-                    }
-                    Plan::Vet { input, columns, .. } => {
-                        vet_columns = columns.clone();
-                        node = input;
-                    }
-                    Plan::Predict { input, .. } | Plan::Project { input, .. } => node = input,
-                    Plan::Scan { filters, limit, .. } => {
-                        pushed_parts.extend(filters.iter().cloned());
-                        scan_limit = *limit;
-                        break;
-                    }
-                    Plan::EmptyScan { reason, .. } => {
-                        empty_reason = Some(reason.clone());
-                        break;
-                    }
-                }
-            }
-        }
-        let pushed = join_conjuncts(pushed_parts);
-        let residual = join_conjuncts(residual_parts);
-
-        // Phase 1: pushed-down predicates on the raw table. A proven
-        // contradiction skips the scan entirely.
-        let empty_env = Env { row: None, aliases: &HashMap::new(), predictions: &HashMap::new() };
-        let mut surviving: Vec<usize> = Vec::new();
-        if empty_reason.is_some() {
-            stats.rows_skipped_by_contradiction = base.num_rows();
-        } else {
-            surviving.reserve(base.num_rows());
-            for i in 0..base.num_rows() {
-                if let Some(cap) = scan_limit {
-                    if surviving.len() >= cap {
-                        break;
-                    }
-                }
-                match &pushed {
-                    None => surviving.push(i),
-                    Some(pred) => {
-                        let row = base.row_owned(i).expect("row in range");
-                        let env = Env { row: Some(&row), ..empty_env };
-                        if truthy(&eval(pred, &env)?)? {
-                            surviving.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        stats.rows_after_pushdown = surviving.len();
-
-        // Phase 2: guardrail vetting, inference, alias computation, residual
-        // filtering. Vetting is batched: the surviving rows are gathered
-        // into a sub-table and checked in one vectorized decision-table
-        // pass, instead of materializing a `Row` and re-resolving attribute
-        // names per row. The per-row value-level hook remains as the
-        // fallback for programs that do not bind to this table's schema.
-        let scalar_projections: Vec<(usize, &Expr, &str)> = query
-            .projections
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.expr.has_aggregate())
-            .map(|(i, p)| (i, &p.expr, p.name.as_str()))
-            .collect();
-
-        // Batched vetting. When the optimizer narrowed the vet column set,
-        // only the program-bound columns are gathered and decoded; the
-        // rewritten dependents are overlaid back onto the raw rows below.
-        let mut vetted: Option<Table> = None;
-        let mut narrow: Option<(Table, Vec<(String, usize)>)> = None;
-        if !models.is_empty() && empty_reason.is_none() {
-            if let Some((guard, scheme)) = self.guardrail {
-                let t0 = Instant::now();
-                if vet_columns.is_some() {
-                    if let Some(nv) = guard.vet_rows_narrow(base, &surviving, scheme) {
-                        stats.rows_vetted += surviving.len();
-                        stats.violations += nv.violations.len();
-                        stats.engine_fallback_statements += nv.legacy_statements;
-                        if matches!(scheme, ErrorScheme::Raise) {
-                            if let Some(v) = nv.violations.first() {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: surviving[v.row],
-                                    detail: format!(
-                                        "{} should be {} (found {})",
-                                        v.attribute, v.expected, v.actual
-                                    ),
-                                });
-                            }
-                        }
-                        let written: Vec<(String, usize)> = nv
-                            .written
-                            .iter()
-                            .filter_map(|name| {
-                                nv.table.schema().index_of(name).map(|ci| (name.clone(), ci))
-                            })
-                            .collect();
-                        narrow = Some((nv.table, written));
-                    }
-                }
-                if narrow.is_none() {
-                    if let Some(batch) = guard.vet_rows(base, &surviving, scheme) {
-                        stats.rows_vetted += surviving.len();
-                        stats.violations += batch.violations.len();
-                        stats.engine_fallback_statements += batch.legacy_statements;
-                        if matches!(scheme, ErrorScheme::Raise) {
-                            // Violations are row-ordered, so the first one is
-                            // on the first dirty row — where the per-row hook
-                            // would have aborted.
-                            if let Some(v) = batch.violations.first() {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: surviving[v.row],
-                                    detail: format!(
-                                        "{} should be {} (found {})",
-                                        v.attribute, v.expected, v.actual
-                                    ),
-                                });
-                            }
-                        }
-                        vetted = Some(batch.table);
-                    }
-                }
-                stats.guardrail_nanos += t0.elapsed().as_nanos();
-            }
-        }
-
-        // Under `Raise` on the per-row fallback path, every surviving row
-        // must still be vetted (the abort is the observable result), so the
-        // post-residual row cap cannot stop the loop early.
-        let per_row_raise = vetted.is_none()
-            && narrow.is_none()
-            && !models.is_empty()
-            && matches!(self.guardrail, Some((_, ErrorScheme::Raise)));
-        let early_cap = if per_row_raise { None } else { plan_limit };
-
-        struct Processed {
-            row: Row,
-            predictions: HashMap<String, Value>,
-            aliases: HashMap<String, Value>,
-        }
-        let mut processed: Vec<Processed> = Vec::with_capacity(surviving.len());
-        for (k, &i) in surviving.iter().enumerate() {
-            if let Some(cap) = early_cap {
-                if processed.len() >= cap {
-                    break;
-                }
-            }
-            let mut row = match (&vetted, &narrow) {
-                // Batched path: row k of the vetted sub-table is base row
-                // `surviving[k]` after the error scheme was applied.
-                (Some(t), _) => t.row_owned(k).expect("row in range"),
-                // Narrow path: overlay the rewritten dependent columns onto
-                // the full raw row (the scheme writes no other column).
-                (None, Some((nt, written))) => {
-                    let mut row = base.row_owned(i).expect("row in range");
-                    for (name, ci) in written {
-                        let v = nt.get(k, *ci).expect("cell in range");
-                        row.set_by_name(name, v);
-                    }
-                    row
-                }
-                (None, None) => base.row_owned(i).expect("row in range"),
-            };
-            let mut predictions = HashMap::new();
-            if !models.is_empty() {
-                if vetted.is_none() && narrow.is_none() {
-                    if let Some((guard, scheme)) = self.guardrail {
-                        let t0 = Instant::now();
-                        let outcome = guard.handle_row(&row, scheme);
-                        stats.guardrail_nanos += t0.elapsed().as_nanos();
-                        stats.rows_vetted += 1;
-                        stats.violations += outcome.violations().len();
-                        match outcome {
-                            RowOutcome::Raised(violations) => {
-                                return Err(SqlError::GuardrailRaise {
-                                    row: i,
-                                    detail: violations
-                                        .first()
-                                        .map(|v| {
-                                            format!(
-                                                "{} should be {} (found {})",
-                                                v.attribute, v.expected, v.actual
-                                            )
-                                        })
-                                        .unwrap_or_default(),
-                                })
-                            }
-                            outcome => {
-                                row = outcome.row().expect("non-raise outcome has a row").clone();
-                            }
-                        }
-                    }
-                }
-                let t0 = Instant::now();
-                for m in &models {
-                    let model = self.catalog.model(m).expect("checked above");
-                    predictions.insert(m.clone(), model.predict_row(&row));
-                    stats.predictions += 1;
-                }
-                stats.inference_nanos += t0.elapsed().as_nanos();
-            }
-            // Aliases for scalar projections (GROUP BY income_pred support).
-            let mut aliases = HashMap::new();
-            {
-                let env = Env { row: Some(&row), aliases: &aliases, predictions: &predictions };
-                let mut computed = Vec::new();
-                for &(_, expr, name) in &scalar_projections {
-                    computed.push((name.to_string(), eval(expr, &env)?));
-                }
-                aliases.extend(computed);
-            }
-            // Residual predicate.
-            if let Some(pred) = &residual {
-                let env = Env { row: Some(&row), aliases: &aliases, predictions: &predictions };
-                if !truthy(&eval(pred, &env)?)? {
-                    continue;
-                }
-            }
-            processed.push(Processed { row, predictions, aliases });
-        }
-
-        // Phase 3: aggregation / projection.
-        let has_aggregate = query.projections.iter().any(|p| p.expr.has_aggregate());
-        let names: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
-        let mut builder = TableBuilder::new(names);
-
-        if has_aggregate || !query.group_by.is_empty() {
-            // Group rows by the GROUP BY key.
-            let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-            let mut index: HashMap<String, usize> = HashMap::new();
-            for (ri, p) in processed.iter().enumerate() {
-                let env =
-                    Env { row: Some(&p.row), aliases: &p.aliases, predictions: &p.predictions };
-                let mut key = Vec::with_capacity(query.group_by.len());
-                for g in &query.group_by {
-                    key.push(eval(g, &env)?);
-                }
-                let fingerprint = format!("{key:?}");
-                match index.get(&fingerprint) {
-                    Some(&gi) => groups[gi].1.push(ri),
-                    None => {
-                        index.insert(fingerprint, groups.len());
-                        groups.push((key, vec![ri]));
-                    }
-                }
-            }
-            if groups.is_empty() && query.group_by.is_empty() {
-                // Aggregates over an empty input still yield one row.
-                groups.push((Vec::new(), Vec::new()));
-            }
-            groups.sort_by(|(ka, _), (kb, _)| ka.cmp(kb)); // deterministic output
-                                                           // HAVING filters whole groups; aggregates inside it evaluate
-                                                           // over the group's members.
-            if let Some(having) = &query.having {
-                let mut kept = Vec::with_capacity(groups.len());
-                for (key, members) in groups {
-                    let value = eval_aggregate(having, &members, &processed, |ri| Env {
-                        row: Some(&processed[ri].row),
-                        aliases: &processed[ri].aliases,
-                        predictions: &processed[ri].predictions,
-                    })?;
-                    if truthy(&value)? {
-                        kept.push((key, members));
-                    }
-                }
-                groups = kept;
-            }
-            for (_, members) in &groups {
-                let mut out_row = Vec::with_capacity(query.projections.len());
-                for p in &query.projections {
-                    if p.expr.has_aggregate() {
-                        out_row.push(eval_aggregate(&p.expr, members, &processed, |ri| Env {
-                            row: Some(&processed[ri].row),
-                            aliases: &processed[ri].aliases,
-                            predictions: &processed[ri].predictions,
-                        })?);
-                    } else {
-                        // Scalar in a grouped query: value from the first
-                        // member (callers group by it, per SQL convention).
-                        match members.first() {
-                            Some(&ri) => {
-                                out_row.push(processed[ri].aliases[&p.name].clone());
-                            }
-                            None => out_row.push(Value::Null),
-                        }
-                    }
-                }
-                builder.push_row(out_row).expect("arity matches");
-            }
-        } else {
-            for p in &processed {
-                let out_row =
-                    query.projections.iter().map(|item| p.aliases[&item.name].clone()).collect();
-                builder.push_row(out_row).expect("arity matches");
-            }
-        }
-        let mut table = builder.finish().map_err(|e| SqlError::Semantic(e.to_string()))?;
-
-        // Phase 4: ORDER BY over the output relation.
-        if !query.order_by.is_empty() {
-            let mut keys: Vec<(Vec<Value>, Vec<SortOrder>, usize)> = Vec::new();
-            for i in 0..table.num_rows() {
-                let row = table.row_owned(i).expect("in range");
-                let mut key = Vec::new();
-                let mut orders = Vec::new();
-                for (e, ord) in &query.order_by {
-                    let env = Env {
-                        row: Some(&row),
-                        aliases: &HashMap::new(),
-                        predictions: &HashMap::new(),
-                    };
-                    key.push(eval(e, &env)?);
-                    orders.push(*ord);
-                }
-                keys.push((key, orders, i));
-            }
-            keys.sort_by(|(ka, orders, _), (kb, _, _)| {
-                for ((a, b), ord) in ka.iter().zip(kb).zip(orders) {
-                    let c = a.cmp(b);
-                    let c = match ord {
-                        SortOrder::Asc => c,
-                        SortOrder::Desc => c.reverse(),
-                    };
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let order: Vec<usize> = keys.into_iter().map(|(_, _, i)| i).collect();
-            table = table.take(&order);
-        }
-
-        // Phase 5: LIMIT.
-        if let Some(limit) = query.limit {
-            table = table.head(limit);
-        }
-
-        query_span.arg("rows_vetted", stats.rows_vetted as u64);
-        query_span.arg("violations", stats.violations as u64);
-        query_span.arg("predictions", stats.predictions as u64);
-        Ok(QueryOutput { table, stats, degradation })
+        let tuples = run.open(&opt.plan)?.collect::<Result<Vec<Tuple>, SqlError>>()?;
+        let table = epilogue(query, base, &tuples)?;
+        let stats = run.stats.into_inner();
+        span.arg("rows_scanned", stats.rows_scanned as u64);
+        span.arg("rows_vetted", stats.rows_vetted as u64);
+        span.arg("violations", stats.violations as u64);
+        span.arg("predictions", stats.predictions as u64);
+        Ok(QueryOutput { table, stats, degradation: opt.degradation })
     }
 }
 
-/// Evaluation environment for one row.
-struct Env<'a> {
-    row: Option<&'a Row>,
-    aliases: &'a HashMap<String, Value>,
-    predictions: &'a HashMap<String, Value>,
+/// One row in flight between operators.
+#[derive(Debug, Default)]
+struct Tuple {
+    /// The row's index in the scanned table.
+    id: usize,
+    /// The row's values once a node needed them whole or rewrote some
+    /// (model input, vetting overlays); `None` reads the scanned table.
+    row: Option<Row>,
+    /// Model outputs by model name.
+    predictions: HashMap<String, Value>,
+    /// `SELECT`-list values by alias.
+    aliases: HashMap<String, Value>,
 }
 
-fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
+impl Tuple {
+    fn at(id: usize) -> Self {
+        Self { id, ..Self::default() }
+    }
+}
+
+/// A stream of rows between operators; the first error ends the query.
+type Rows<'r> = Box<dyn Iterator<Item = Result<Tuple, SqlError>> + 'r>;
+
+/// What the operators of one query run share.
+struct Run<'a> {
+    catalog: &'a Catalog,
+    guardrail: Option<&'a Guardrail>,
+    /// The scanned table.
+    base: &'a Table,
+    stats: RefCell<ExecutionStats>,
+}
+
+impl<'a> Run<'a> {
+    fn env<'t>(&'t self, tuple: &'t Tuple) -> Env<'t> {
+        Env { table: self.base, tuple }
+    }
+
+    /// Opens the operator for `plan` over its opened input. Each plan node
+    /// is executed by exactly one arm.
+    fn open<'r>(&'r self, plan: &'r Plan) -> Result<Rows<'r>, SqlError> {
+        Ok(match plan {
+            Plan::Scan { filters, limit, .. } => {
+                Box::new(self.scan(filters, *limit)?.into_iter().map(|id| Ok(Tuple::at(id))))
+            }
+            Plan::EmptyScan { .. } => {
+                self.stats.borrow_mut().rows_skipped_by_contradiction = self.base.num_rows();
+                Box::new(std::iter::empty())
+            }
+            Plan::Filter { input, predicate } => Box::new(self.open(input)?.filter_map(move |t| {
+                t.and_then(|t| Ok(truthy(&eval(predicate, self.env(&t))?)?.then_some(t)))
+                    .transpose()
+            })),
+            Plan::Vet { input, scheme, columns } => {
+                // Nothing below a vet computes values: its input rows are ids.
+                let ids = self.open(input)?.map(|t| t.map(|t| t.id)).collect::<Result<_, _>>()?;
+                self.vet(ids, *scheme, columns.as_deref())?
+            }
+            Plan::Predict { input, models } => Box::new(self.open(input)?.map(move |t| {
+                let mut t = t?;
+                self.predict(&mut t, models);
+                Ok(t)
+            })),
+            Plan::Project { input, items } => {
+                let scalars: Vec<&SelectItem> =
+                    items.iter().filter(|item| !item.expr.has_aggregate()).collect();
+                Box::new(self.open(input)?.map(move |t| {
+                    let mut t = t?;
+                    let mut values = Vec::with_capacity(scalars.len());
+                    for item in &scalars {
+                        values.push((item.name.clone(), eval(&item.expr, self.env(&t))?));
+                    }
+                    t.aliases.extend(values);
+                    Ok(t)
+                }))
+            }
+            Plan::Limit { input, n } => Box::new(self.open(input)?.take(*n)),
+        })
+    }
+
+    /// The ids of the rows on which every pushed conjunct holds, stopping
+    /// at `limit` survivors. The scan runs to completion before any row
+    /// moves up, so its count is the query's `rows_after_pushdown`.
+    fn scan(&self, filters: &[Expr], limit: Option<usize>) -> Result<Vec<usize>, SqlError> {
+        let cap = limit.unwrap_or(usize::MAX);
+        let ids = match join_conjuncts(filters.to_vec()) {
+            None => (0..self.base.num_rows().min(cap)).collect(),
+            Some(predicate) => {
+                let mut ids = Vec::new();
+                for id in 0..self.base.num_rows() {
+                    if ids.len() >= cap {
+                        break;
+                    }
+                    if truthy(&eval(&predicate, self.env(&Tuple::at(id)))?)? {
+                        ids.push(id);
+                    }
+                }
+                ids
+            }
+        };
+        self.stats.borrow_mut().rows_after_pushdown = ids.len();
+        Ok(ids)
+    }
+
+    /// Vets every input row in one batched pass over `columns` — the whole
+    /// scanned width when the plan did not narrow it — plus any attribute
+    /// the program binds that the table lacks (gathered as Null). Under
+    /// `Raise` the first violating row aborts the query; otherwise the
+    /// rewritten columns are overlaid onto the raw rows.
+    fn vet<'r>(
+        &'r self,
+        ids: Vec<usize>,
+        scheme: ErrorScheme,
+        columns: Option<&[String]>,
+    ) -> Result<Rows<'r>, SqlError> {
+        let guard = self.guardrail.expect("a Vet node implies an installed guardrail");
+        let mut names: Vec<&str> = match columns {
+            Some(columns) => columns.iter().map(String::as_str).collect(),
+            None => self.base.schema().names(),
+        };
+        let bound = guard.bound_attributes();
+        for name in &bound {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+        let t0 = Instant::now();
+        let vetted = guard.vet_rows(self.base, &ids, &names, scheme).ok_or_else(|| {
+            SqlError::Semantic("the guardrail program does not bind to the scanned table".into())
+        })?;
+        {
+            let mut stats = self.stats.borrow_mut();
+            stats.guardrail_nanos += t0.elapsed().as_nanos();
+            stats.rows_vetted += ids.len();
+            stats.violations += vetted.violations.len();
+            stats.engine_fallback_statements += vetted.legacy_statements;
+        }
+        if scheme == ErrorScheme::Raise {
+            // Violations are row-ordered: the first is on the first dirty row.
+            if let Some(v) = vetted.violations.first() {
+                return Err(SqlError::GuardrailRaise {
+                    row: ids[v.row],
+                    detail: format!(
+                        "{} should be {} (found {})",
+                        v.attribute, v.expected, v.actual
+                    ),
+                });
+            }
+        }
+        // For each scanned column, the vetted column the scheme may have
+        // rewritten it in; `None` keeps the raw value.
+        let schema = self.base.schema();
+        let sources: Vec<Option<usize>> = schema
+            .names()
+            .into_iter()
+            .map(|name| match vetted.written.iter().any(|w| w == name) {
+                true => vetted.table.schema().index_of(name),
+                false => None,
+            })
+            .collect();
+        let rewrites = sources.iter().any(Option::is_some);
+        let table = vetted.table;
+        Ok(Box::new(ids.into_iter().enumerate().map(move |(k, id)| {
+            let mut t = Tuple::at(id);
+            if rewrites {
+                let values = sources.iter().enumerate().map(|(c, source)| {
+                    match source {
+                        Some(from) => table.get(k, *from),
+                        None => self.base.get(id, c),
+                    }
+                    .expect("cell in range")
+                });
+                t.row = Some(Row::new(schema.clone(), values.collect()));
+            }
+            Ok(t)
+        })))
+    }
+
+    /// Runs every model in `models` on the tuple's (vetted) row.
+    fn predict(&self, t: &mut Tuple, models: &[String]) {
+        let row = t.row.get_or_insert_with(|| self.base.row_owned(t.id).expect("row id"));
+        let t0 = Instant::now();
+        for m in models {
+            let model = self.catalog.model(m).expect("models are resolved at planning");
+            t.predictions.insert(m.clone(), model.predict_row(row));
+        }
+        let mut stats = self.stats.borrow_mut();
+        stats.predictions += models.len();
+        stats.inference_nanos += t0.elapsed().as_nanos();
+    }
+}
+
+/// The query-driven epilogue over the plan's output rows: aggregation (or
+/// the plain projection), then `ORDER BY` and the query's own `LIMIT`.
+fn epilogue(query: &Query, base: &Table, tuples: &[Tuple]) -> Result<Table, SqlError> {
+    let names: Vec<String> = query.projections.iter().map(|p| p.name.clone()).collect();
+    let mut builder = TableBuilder::new(names);
+    let has_aggregate = query.projections.iter().any(|p| p.expr.has_aggregate());
+    if has_aggregate || !query.group_by.is_empty() {
+        for members in groups(query, base, tuples)? {
+            let mut out_row = Vec::with_capacity(query.projections.len());
+            for p in &query.projections {
+                out_row.push(if p.expr.has_aggregate() {
+                    eval_aggregate(&p.expr, &members)?
+                } else {
+                    // Scalar in a grouped query: value from the first
+                    // member (callers group by it, per SQL convention).
+                    members.first().map_or(Value::Null, |m| m.tuple.aliases[&p.name].clone())
+                });
+            }
+            builder.push_row(out_row).expect("arity matches");
+        }
+    } else {
+        for t in tuples {
+            let out_row = query.projections.iter().map(|p| t.aliases[&p.name].clone()).collect();
+            builder.push_row(out_row).expect("arity matches");
+        }
+    }
+    let table = builder.finish().map_err(|e| SqlError::Semantic(e.to_string()))?;
+    let table = order_by(query, table)?;
+    Ok(match query.limit {
+        Some(n) => table.head(n),
+        None => table,
+    })
+}
+
+/// Splits the rows into `GROUP BY` groups in key order and keeps the groups
+/// `HAVING` accepts. Keys compare as [`Value`]s, so `1` and `1.0` share a
+/// group. Aggregates over no rows and no `GROUP BY` still form one group.
+fn groups<'t>(
+    query: &Query,
+    base: &'t Table,
+    tuples: &'t [Tuple],
+) -> Result<Vec<Vec<Env<'t>>>, SqlError> {
+    let mut groups: Vec<(Vec<Value>, Vec<Env<'t>>)> = Vec::new();
+    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+    for tuple in tuples {
+        let env = Env { table: base, tuple };
+        let key = query.group_by.iter().map(|g| eval(g, env)).collect::<Result<Vec<_>, _>>()?;
+        match index.entry(key) {
+            Entry::Occupied(e) => groups[*e.get()].1.push(env),
+            Entry::Vacant(e) => {
+                groups.push((e.key().clone(), vec![env]));
+                e.insert(groups.len() - 1);
+            }
+        }
+    }
+    if groups.is_empty() && query.group_by.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+    groups.sort_by(|(a, _), (b, _)| a.cmp(b)); // deterministic output
+    let mut kept = Vec::with_capacity(groups.len());
+    for (_, members) in groups {
+        // HAVING filters whole groups; its aggregates range over the members.
+        let keep = match &query.having {
+            Some(having) => truthy(&eval_aggregate(having, &members)?)?,
+            None => true,
+        };
+        if keep {
+            kept.push(members);
+        }
+    }
+    Ok(kept)
+}
+
+/// Sorts the output relation by the `ORDER BY` keys (stable).
+fn order_by(query: &Query, table: Table) -> Result<Table, SqlError> {
+    if query.order_by.is_empty() {
+        return Ok(table);
+    }
+    let mut keys: Vec<(Vec<Value>, usize)> = Vec::with_capacity(table.num_rows());
+    for i in 0..table.num_rows() {
+        let row = Tuple::at(i);
+        let env = Env { table: &table, tuple: &row };
+        let key = query.order_by.iter().map(|(e, _)| eval(e, env)).collect::<Result<_, _>>()?;
+        keys.push((key, i));
+    }
+    keys.sort_by(|(ka, _), (kb, _)| {
+        for ((a, b), (_, ord)) in ka.iter().zip(kb).zip(&query.order_by) {
+            let c = match ord {
+                SortOrder::Asc => a.cmp(b),
+                SortOrder::Desc => b.cmp(a),
+            };
+            if c != std::cmp::Ordering::Equal {
+                return c;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    let order: Vec<usize> = keys.into_iter().map(|(_, i)| i).collect();
+    Ok(table.take(&order))
+}
+
+/// What an expression reads for one row: the row's own values (or, until a
+/// node materialized them, the table it lives in), then the `SELECT`-list
+/// aliases and model outputs computed for it.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    table: &'a Table,
+    tuple: &'a Tuple,
+}
+
+impl Env<'_> {
+    fn column(&self, name: &str) -> Option<Value> {
+        match &self.tuple.row {
+            Some(row) => row.get_by_name(name).cloned(),
+            None => self.table.get(self.tuple.id, self.table.schema().index_of(name)?),
+        }
+    }
+}
+
+fn eval(expr: &Expr, env: Env<'_>) -> Result<Value, SqlError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(name) => {
-            if let Some(row) = env.row {
-                if let Some(v) = row.get_by_name(name) {
-                    return Ok(v.clone());
-                }
-            }
-            if let Some(v) = env.aliases.get(name) {
-                return Ok(v.clone());
-            }
-            Err(SqlError::UnknownColumn(name.clone()))
-        }
-        Expr::Predict { model } => {
-            env.predictions.get(model).cloned().ok_or_else(|| SqlError::UnknownModel(model.clone()))
-        }
+        Expr::Column(name) => env
+            .column(name)
+            .or_else(|| env.tuple.aliases.get(name).cloned())
+            .ok_or_else(|| SqlError::UnknownColumn(name.clone())),
+        Expr::Predict { model } => env
+            .tuple
+            .predictions
+            .get(model)
+            .cloned()
+            .ok_or_else(|| SqlError::UnknownModel(model.clone())),
         Expr::Not(e) => {
             let v = eval(e, env)?;
             if v.is_null() {
@@ -658,113 +622,100 @@ fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, SqlError> {
                 None => Ok(Value::Null),
             }
         }
-        Expr::Binary { op, left, right } => {
-            match op {
-                BinOp::And => {
-                    let l = eval(left, env)?;
-                    if !l.is_null() && !truthy(&l)? {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = eval(right, env)?;
-                    if !r.is_null() && !truthy(&r)? {
-                        return Ok(Value::Bool(false));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    Ok(Value::Bool(true))
-                }
-                BinOp::Or => {
-                    let l = eval(left, env)?;
-                    if !l.is_null() && truthy(&l)? {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = eval(right, env)?;
-                    if !r.is_null() && truthy(&r)? {
-                        return Ok(Value::Bool(true));
-                    }
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    Ok(Value::Bool(false))
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let l = eval(left, env)?;
-                    let r = eval(right, env)?;
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null); // SQL three-valued logic
-                    }
-                    let out = match op {
-                        BinOp::Eq => l == r,
-                        BinOp::Ne => l != r,
-                        BinOp::Lt => l < r,
-                        BinOp::Le => l <= r,
-                        BinOp::Gt => l > r,
-                        BinOp::Ge => l >= r,
-                        _ => unreachable!(),
-                    };
-                    Ok(Value::Bool(out))
-                }
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                    let l = eval(left, env)?;
-                    let r = eval(right, env)?;
-                    if l.is_null() || r.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    let (a, b) = match (l.as_f64(), r.as_f64()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => {
-                            return Err(SqlError::Semantic(format!(
-                                "arithmetic on non-numeric values {l} and {r}"
-                            )))
-                        }
-                    };
-                    let result = match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div => {
-                            if b == 0.0 {
-                                return Ok(Value::Null);
-                            }
-                            a / b
-                        }
-                        _ => unreachable!(),
-                    };
-                    // Keep integers integral when possible.
-                    if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
-                        && matches!((&l, &r), (Value::Int(_), Value::Int(_)))
-                    {
-                        Ok(Value::Int(result as i64))
-                    } else {
-                        Ok(Value::float(result))
-                    }
-                }
-            }
-        }
+        Expr::Binary { op, left, right } => binary(*op, eval(left, env)?, || eval(right, env)),
         Expr::Aggregate { .. } => {
             Err(SqlError::Semantic("aggregate used in a scalar context".into()))
         }
     }
 }
 
-fn eval_aggregate<'p, F>(
-    expr: &Expr,
-    members: &[usize],
-    _processed: &'p [impl Sized],
-    env_of: F,
-) -> Result<Value, SqlError>
-where
-    F: Fn(usize) -> Env<'p> + Copy,
-{
+/// Applies `op` to `l` and the lazily evaluated right operand, which
+/// `AND`/`OR` skip when `l` decides the result.
+fn binary(
+    op: BinOp,
+    l: Value,
+    right: impl FnOnce() -> Result<Value, SqlError>,
+) -> Result<Value, SqlError> {
+    match op {
+        BinOp::And | BinOp::Or => {
+            // The value that decides the connective on its own.
+            let decisive = op == BinOp::Or;
+            if !l.is_null() && truthy(&l)? == decisive {
+                return Ok(Value::Bool(decisive));
+            }
+            let r = right()?;
+            if !r.is_null() && truthy(&r)? == decisive {
+                return Ok(Value::Bool(decisive));
+            }
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            Ok(Value::Bool(!decisive))
+        }
+        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            let r = right()?;
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null); // SQL three-valued logic
+            }
+            let out = match op {
+                BinOp::Eq => l == r,
+                BinOp::Ne => l != r,
+                BinOp::Lt => l < r,
+                BinOp::Le => l <= r,
+                BinOp::Gt => l > r,
+                BinOp::Ge => l >= r,
+                _ => unreachable!(),
+            };
+            Ok(Value::Bool(out))
+        }
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+            let r = right()?;
+            if l.is_null() || r.is_null() {
+                return Ok(Value::Null);
+            }
+            let (a, b) = match (l.as_f64(), r.as_f64()) {
+                (Some(a), Some(b)) => (a, b),
+                _ => {
+                    return Err(SqlError::Semantic(format!(
+                        "arithmetic on non-numeric values {l} and {r}"
+                    )))
+                }
+            };
+            let result = match op {
+                BinOp::Add => a + b,
+                BinOp::Sub => a - b,
+                BinOp::Mul => a * b,
+                BinOp::Div => {
+                    if b == 0.0 {
+                        return Ok(Value::Null);
+                    }
+                    a / b
+                }
+                _ => unreachable!(),
+            };
+            // Keep integers integral when possible.
+            if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
+                && matches!((&l, &r), (Value::Int(_), Value::Int(_)))
+            {
+                Ok(Value::Int(result as i64))
+            } else {
+                Ok(Value::float(result))
+            }
+        }
+    }
+}
+
+/// Evaluates an expression that may contain aggregates over a group's
+/// members.
+fn eval_aggregate(expr: &Expr, members: &[Env<'_>]) -> Result<Value, SqlError> {
     match expr {
         Expr::Aggregate { func, arg } => match func {
             AggFunc::Count if arg.is_none() => Ok(Value::Int(members.len() as i64)),
             _ => {
                 let arg = arg.as_ref().expect("non-COUNT(*) aggregate has an argument");
                 let mut values = Vec::with_capacity(members.len());
-                for &ri in members {
-                    let v = eval(arg, &env_of(ri))?;
+                for &m in members {
+                    let v = eval(arg, m)?;
                     if !v.is_null() {
                         values.push(v);
                     }
@@ -791,21 +742,18 @@ where
                 }
             }
         },
-        // Aggregate embedded in arithmetic, e.g. `AVG(x) * 100`.
+        // Aggregates embedded in arithmetic, e.g. `AVG(x) * 100`: both
+        // sides reduce to values first.
         Expr::Binary { op, left, right } => {
-            let l = eval_aggregate(left, members, _processed, env_of)?;
-            let r = eval_aggregate(right, members, _processed, env_of)?;
-            let reduced = Expr::Binary {
-                op: *op,
-                left: Box::new(Expr::Literal(l)),
-                right: Box::new(Expr::Literal(r)),
-            };
-            eval(&reduced, &env_of(*members.first().unwrap_or(&0)))
+            let l = eval_aggregate(left, members)?;
+            let r = eval_aggregate(right, members)?;
+            binary(*op, l, || Ok(r))
         }
+        Expr::Literal(v) => Ok(v.clone()),
         // Non-aggregate sub-expression inside an aggregate projection:
         // evaluate on the first member.
         other => match members.first() {
-            Some(&ri) => eval(other, &env_of(ri)),
+            Some(&m) => eval(other, m),
             None => Ok(Value::Null),
         },
     }
@@ -1048,9 +996,9 @@ mod tests {
     #[test]
     fn unbindable_program_falls_back_to_row_vetting() {
         // The guardrail's program mentions `income`, which the queried table
-        // lacks: batched compilation is all-or-nothing, so vetting must fall
-        // back to the value-level per-row hook (which flags the missing
-        // attribute as Null ≠ literal).
+        // lacks: the batched vet gathers it as an all-Null column, the
+        // value-level hook's reading of a missing attribute (so it is
+        // flagged as Null ≠ literal).
         let mut csv = String::from("city,income\n");
         for _ in 0..100 {
             csv.push_str("A,high\nB,low\n");
@@ -1237,5 +1185,44 @@ mod tests {
         let naive =
             Executor::new(&c).with_pushdown(false).run("SELECT age FROM people LIMIT 2").unwrap();
         assert_eq!(out.table.to_csv_string(), naive.table.to_csv_string());
+    }
+
+    #[test]
+    fn group_by_merges_equal_numeric_keys() {
+        let mut c = Catalog::new();
+        c.add_table("g", Table::from_csv_str("a,b\n1,x\n2,y\n3,z\n").unwrap());
+        // `1` and `1.0` are equal values, so they form one group.
+        let out = Executor::new(&c)
+            .run(
+                "SELECT CASE WHEN a = 1 THEN 1 ELSE 1.0 END AS k, COUNT(*) AS n FROM g \
+                 GROUP BY CASE WHEN a = 1 THEN 1 ELSE 1.0 END",
+            )
+            .unwrap()
+            .table;
+        assert_eq!(out.num_rows(), 1, "{}", out.to_csv_string());
+        assert_eq!(out.get(0, 1), Some(Value::Int(3)));
+    }
+
+    #[test]
+    fn aggregate_arithmetic_over_no_rows_is_null() {
+        let t = run("SELECT AVG(age) * 2 AS x, COUNT(*) + 1 AS n FROM people WHERE age > 1000");
+        assert_eq!(t.num_rows(), 1);
+        assert_eq!(t.get(0, 0), Some(Value::Null));
+        assert_eq!(t.get(0, 1), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn where_sees_select_aliases_without_a_model() {
+        // The WHERE filter sits above the projection in every plan, with
+        // or without a PREDICT below it.
+        for pushdown in [true, false] {
+            let c = catalog();
+            let out = Executor::new(&c)
+                .with_pushdown(pushdown)
+                .run("SELECT age AS years FROM people WHERE years > 45 ORDER BY years")
+                .unwrap();
+            assert_eq!(out.table.num_rows(), 2);
+            assert_eq!(out.table.get(0, 0), Some(Value::Int(50)));
+        }
     }
 }

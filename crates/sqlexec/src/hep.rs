@@ -10,7 +10,7 @@
 //! half-rewritten plan.
 //!
 //! The classic batches (predicate pushdown, filter merging, limit sinking,
-//! projection collapsing) subsume the old `split_pushdown` pass. The
+//! projection collapsing) decide where each conjunct runs. The
 //! constraint-aware batch is the part only Guardrail can do: it replays
 //! equality pins from the predicate through the fitted program's packed
 //! mixed-radix decision tables ([`CompiledProgram::implied_assignments`])
@@ -22,7 +22,7 @@
 //!     guardrail_dsl::CompiledProgram::implied_assignments
 
 use crate::ast::Expr;
-use crate::optimizer::{is_pushable, join_conjuncts, split_conjuncts_ref};
+use crate::optimizer::{is_pushable, join_conjuncts, split_conjuncts};
 use crate::planner::{const_fold, pin_of, Plan, PlanContext};
 use guardrail_core::ErrorScheme;
 use guardrail_governor::{Budget, DegradationReport, StageStatus};
@@ -219,7 +219,7 @@ fn collect_conjuncts<'p>(plan: &'p Plan, out: &mut Vec<(&'p Expr, bool)>) {
     match plan {
         Plan::Filter { input, predicate } => {
             let above_vet = input.vet_scheme().is_some();
-            for c in split_conjuncts_ref(predicate) {
+            for c in split_conjuncts(predicate) {
                 out.push((c, above_vet));
             }
             collect_conjuncts(input, out);
@@ -287,8 +287,8 @@ impl OptRule for CombineFilter {
         let Plan::Filter { input: inner_input, predicate: inner } = input.as_ref() else {
             return None;
         };
-        let mut conjuncts: Vec<Expr> = split_conjuncts_ref(inner).into_iter().cloned().collect();
-        conjuncts.extend(split_conjuncts_ref(outer).into_iter().cloned());
+        let mut conjuncts: Vec<Expr> = split_conjuncts(inner).into_iter().cloned().collect();
+        conjuncts.extend(split_conjuncts(outer).into_iter().cloned());
         Some(Plan::Filter {
             input: inner_input.clone(),
             predicate: join_conjuncts(conjuncts).expect("two filters have conjuncts"),
@@ -338,7 +338,7 @@ impl OptRule for PushPredicateThroughNonJoin {
                 _ => false,
             }
         };
-        let conjuncts = split_conjuncts_ref(predicate);
+        let conjuncts = split_conjuncts(predicate);
         let (push, rest): (Vec<&Expr>, Vec<&Expr>) = conjuncts.into_iter().partition(movable);
         if push.is_empty() {
             return None;
@@ -547,7 +547,7 @@ impl OptRule for ImpliedPredicatePruning {
         let Plan::Filter { input, predicate } = plan else { return None };
         let above_vet = input.vet_scheme().is_some();
         let entailment = input.vet_scheme() == Some(ErrorScheme::Rectify) && above_vet;
-        let conjuncts = split_conjuncts_ref(predicate);
+        let conjuncts = split_conjuncts(predicate);
         let mut below = Vec::new();
         collect_conjuncts(input, &mut below);
         let mut kept: Vec<Expr> = Vec::new();

@@ -10,16 +10,10 @@
 use crate::ast::{BinOp, Expr};
 use guardrail_table::Schema;
 
-/// Splits an expression into its top-level AND conjuncts, cloning each.
-/// API-boundary variant; the planner's hot path uses
-/// [`split_conjuncts_ref`] to avoid cloning subtrees it may only inspect.
-pub fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
-    split_conjuncts_ref(expr).into_iter().cloned().collect()
-}
-
-/// Borrowing variant of [`split_conjuncts`]: the returned references point
-/// into `expr`, so inspection-only passes allocate nothing per conjunct.
-pub fn split_conjuncts_ref(expr: &Expr) -> Vec<&Expr> {
+/// Splits an expression into its top-level AND conjuncts. The returned
+/// references point into `expr`, so inspection-only passes allocate nothing
+/// per conjunct.
+pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     fn walk<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         match expr {
             Expr::Binary { op: BinOp::And, left, right } => {
@@ -51,14 +45,6 @@ pub fn is_pushable(expr: &Expr, base: &Schema) -> bool {
     let mut cols = Vec::new();
     expr.columns(&mut cols);
     cols.iter().all(|c| base.index_of(c).is_some())
-}
-
-/// Splits a WHERE clause into `(pushable, residual)` predicates.
-pub fn split_pushdown(where_clause: Option<&Expr>, base: &Schema) -> (Option<Expr>, Option<Expr>) {
-    let Some(expr) = where_clause else { return (None, None) };
-    let (push, rest): (Vec<Expr>, Vec<Expr>) =
-        split_conjuncts(expr).into_iter().partition(|c| is_pushable(c, base));
-    (join_conjuncts(push), join_conjuncts(rest))
 }
 
 #[cfg(test)]
@@ -93,22 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn split_pushdown_partitions() {
-        let s = schema();
-        let e = where_of("SELECT a FROM t WHERE a = 1 AND PREDICT(m) = 'x' AND b = 'y'");
-        let (push, rest) = split_pushdown(Some(&e), &s);
-        let push = push.unwrap();
-        let rest = rest.unwrap();
-        assert_eq!(split_conjuncts(&push).len(), 2);
-        assert!(rest.has_predict());
-        assert_eq!(split_conjuncts(&rest).len(), 1);
-    }
-
-    #[test]
     fn roundtrip_join() {
         let e = where_of("SELECT a FROM t WHERE a = 1 AND b = 'x'");
         let parts = split_conjuncts(&e);
-        let joined = join_conjuncts(parts.clone()).unwrap();
+        let joined = join_conjuncts(parts.iter().map(|&c| c.clone()).collect()).unwrap();
         assert_eq!(split_conjuncts(&joined), parts);
         assert!(join_conjuncts(vec![]).is_none());
     }

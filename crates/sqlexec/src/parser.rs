@@ -5,10 +5,16 @@ use crate::error::SqlError;
 use crate::token::{tokenize, Spanned, Token};
 use guardrail_table::Value;
 
+/// Nesting cap for the recursive descent: each parenthesized, `CASE`,
+/// aggregate or `IN`-list sub-expression and each chained `NOT` or unary
+/// minus takes one level. Deeper input is a parse error, not a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one `SELECT` query.
 pub fn parse_query(sql: &str) -> Result<Query, SqlError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, end: sql.len(), depth: 0 };
     let q = p.query()?;
     if !p.at_end() {
         return Err(p.err("trailing tokens after query"));
@@ -19,6 +25,10 @@ pub fn parse_query(sql: &str) -> Result<Query, SqlError> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Byte length of the source: the position of an error at end of input.
+    end: usize,
+    /// Current nesting level (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -27,7 +37,7 @@ impl Parser {
     }
 
     fn err(&self, message: impl Into<String>) -> SqlError {
-        let position = self.tokens.get(self.pos).map(|t| t.position).unwrap_or(usize::MAX);
+        let position = self.tokens.get(self.pos).map_or(self.end, |t| t.position);
         SqlError::Parse { position, message: message.into() }
     }
 
@@ -176,9 +186,23 @@ impl Parser {
         Ok(SelectItem { expr, name })
     }
 
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Expr, SqlError>,
+    ) -> Result<Expr, SqlError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(format!("expression nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
     // Precedence: OR < AND < NOT < comparison < additive < multiplicative < atom.
     fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, SqlError> {
@@ -201,7 +225,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr, SqlError> {
         if self.try_keyword("NOT") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.comparison()
         }
@@ -332,7 +356,7 @@ impl Parser {
                 // numeric constant (so `-1` round-trips as a literal), else
                 // desugar to `0 - expr`.
                 self.pos += 1;
-                let inner = self.atom()?;
+                let inner = self.nested(Self::atom)?;
                 match inner {
                     Expr::Literal(Value::Int(i)) => Ok(Expr::Literal(Value::Int(-i))),
                     Expr::Literal(Value::Float(f)) => Ok(Expr::Literal(Value::float(-f))),
@@ -545,5 +569,27 @@ mod tests {
         assert!(parse_query("SELECT a FROM t garbage here").is_err());
         assert!(parse_query("SELECT CASE END FROM t").is_err());
         assert!(parse_query("SELECT a FROM t WHERE").is_err());
+    }
+
+    #[test]
+    fn error_at_end_of_input_points_past_the_last_byte() {
+        let sql = "SELECT a FROM";
+        match parse_query(sql) {
+            Err(SqlError::Parse { position, .. }) => assert_eq!(position, sql.len()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| {
+            format!("SELECT a FROM t WHERE {}a = 1{}", "(".repeat(depth), ")".repeat(depth))
+        };
+        assert!(parse_query(&nested(MAX_DEPTH - 1)).is_ok());
+        assert!(parse_query(&nested(100_000)).is_err());
+        let nots = format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(100_000));
+        assert!(parse_query(&nots).is_err());
+        let minuses = format!("SELECT {}1 FROM t", "- ".repeat(100_000));
+        assert!(parse_query(&minuses).is_err());
     }
 }

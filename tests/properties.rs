@@ -92,6 +92,13 @@ const DSL_TOKENS: &[&str] = &[
 const CSV_TOKENS: &[&str] =
     &[",", "\"", "\"\"", "\n", "\r\n", "\r", "a", "1", "-2.5", "NA", "true", " ", "é", "\u{0}"];
 
+const SQL_TOKENS: &[&str] = &[
+    "SELECT ", "FROM ", "WHERE ", "GROUP ", "ORDER ", "BY ", "HAVING ", "LIMIT ", "AS ", "AND ",
+    "OR ", "NOT ", "IN ", "BETWEEN ", "CASE ", "WHEN ", "THEN ", "ELSE ", "END ", "COUNT(*)",
+    "AVG(", "PREDICT(", "(", ")", ",", ".", "=", "<>", "<=", "+", "-", "*", "/", "'s'", "'", "42",
+    "-3.5", "NULL", "a", "t", " ", "\n", "é",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -152,6 +159,11 @@ proptest! {
     #[test]
     fn dsl_parse_never_panics(text in arb_text(DSL_TOKENS)) {
         let _ = parse_program(&text);
+    }
+
+    #[test]
+    fn sql_parse_never_panics(text in arb_text(SQL_TOKENS)) {
+        let _ = guardrail::sqlexec::parse_query(&text);
     }
 }
 
